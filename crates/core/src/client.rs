@@ -23,9 +23,10 @@ use std::time::Duration;
 pub struct PlanRequest {
     /// The query to plan.
     pub query: Query,
-    /// Time budget for this request, measured from the `plan` call. When it
-    /// expires the caller gets [`MtmlfError::Timeout`](crate::MtmlfError::Timeout)
-    /// and any work still queued for it is dropped before the forward.
+    /// Time budget for this request, measured from the `plan` call. A
+    /// response not ready within it becomes
+    /// [`MtmlfError::Timeout`](crate::MtmlfError::Timeout), and a miss whose
+    /// budget is already spent at admission is dropped before the forward.
     /// `None` falls back to the serving side's default deadline.
     pub deadline: Option<Duration>,
     /// Per-request trace opt-in/out. `None` follows the serving side's
@@ -116,8 +117,8 @@ pub struct PlanResponse {
     pub est_cost: f64,
     /// Whether the answer was cached, freshly computed, or degraded.
     pub source: PlanSource,
-    /// End-to-end latency observed by the calling thread, including any
-    /// queueing delay.
+    /// End-to-end latency observed by the calling thread, from the `plan`
+    /// call to the response.
     pub latency: Duration,
 }
 

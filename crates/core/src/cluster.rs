@@ -938,8 +938,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-replica [`ServiceConfig`] (each replica gets its own worker
-    /// pool and plan cache built from this).
+    /// Per-replica [`ServiceConfig`] (each replica gets its own admission
+    /// bound and plan cache built from this).
     pub fn service_config(mut self, config: ServiceConfig) -> Self {
         self.service_config = config;
         self

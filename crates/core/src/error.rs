@@ -42,14 +42,14 @@ pub enum MtmlfError {
     /// An invalid hyper-parameter combination, rejected at construction by
     /// [`crate::MtmlfConfig::builder`] instead of panicking mid-training.
     InvalidConfig(String),
-    /// The planner service could not accept or answer a request (worker
-    /// pool shut down or a worker died).
+    /// The planner service could not accept or answer a request (it was
+    /// shut down, or planning panicked).
     Service(String),
     /// SQL text could not be parsed into a [`mtmlf_query::Query`].
     Sql(mtmlf_query::SqlError),
     /// An internal invariant was violated. Library code returns this
     /// instead of panicking (lint rule L1), so a single bad request cannot
-    /// take down a serving worker.
+    /// take down a serving thread.
     Internal(String),
     /// The request's deadline expired before a response was produced. The
     /// caller is free to retry, fall back to a classical plan, or give up.

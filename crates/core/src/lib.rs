@@ -31,8 +31,8 @@
 //!   training only its featurizer (plus optional fine-tuning).
 //! - **Serving** ([`serve`], [`cache`], [`batch`]) — a thread-safe
 //!   [`PlannerService`] over a trained model: a sharded plan cache keyed by
-//!   canonical query fingerprints, one model pass per cache miss, and a
-//!   worker pool with latency/throughput metrics. Responses are bitwise
+//!   canonical query fingerprints, one model pass per cache miss on the
+//!   calling thread, and latency/throughput metrics. Responses are bitwise
 //!   identical to the single-threaded facade.
 //! - **Fault tolerance** ([`resilience`]) — per-request deadlines, a
 //!   circuit breaker over the model path, bounded deterministic retry,

@@ -200,20 +200,19 @@ pub enum SwapOutcome {
 /// # Atomicity argument
 ///
 /// The only state is one `RwLock` over the live model and its version.
-/// Workers take the read lock exactly once per job
-/// ([`ModelSlot::active`]) and clone the `Arc` out; a swap takes the write
+/// A cache miss takes the read lock exactly once
+/// ([`ModelSlot::active`]) and clones the `Arc` out; a swap takes the write
 /// lock and exchanges the pair. Thus:
 ///
-/// * A job observes the state before a swap or after it — never a mix.
+/// * A miss observes the state before a swap or after it — never a mix.
 ///   "Half-swapped" is unrepresentable because the unit of exchange is one
 ///   pair, not a field-by-field copy.
-/// * In-flight jobs that read the old model keep it alive through
+/// * Misses in flight that read the old model keep it alive through
 ///   their own `Arc` and complete normally; the swap never blocks on them
 ///   and they never block the swap (the write lock is held only for the
 ///   exchange, not for any planning or freeing).
-/// * No request is dropped: the request queue, worker pool, and reply
-///   channels are untouched by a swap — only the pointer workers read per
-///   job changes.
+/// * No request is dropped: a swap changes only the pointer the next miss
+///   reads.
 pub struct ModelSlot {
     state: RwLock<(Arc<MtmlfQo>, ModelVersion)>,
 }
@@ -231,9 +230,9 @@ impl ModelSlot {
         }
     }
 
-    /// The active model and its version, read together. A worker calls
-    /// this once per job and plans the job, retries included, with the
-    /// returned `Arc`, so no job ever straddles a swap.
+    /// The active model and its version, read together. A cache miss
+    /// calls this once and plans, retries included, with the returned
+    /// `Arc`, so no request ever straddles a swap.
     pub fn active(&self) -> (Arc<MtmlfQo>, ModelVersion) {
         let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
         (Arc::clone(&state.0), state.1)
@@ -253,8 +252,8 @@ impl ModelSlot {
         }
         let (displaced, previous) = std::mem::replace(&mut *state, (model, version));
         // Release the lock before the displaced model can drop: when this
-        // was its last handle, freeing it must not stall every worker's
-        // per-job read.
+        // was its last handle, freeing it must not stall every miss's
+        // read.
         drop(state);
         drop(displaced);
         SwapOutcome::Swapped { previous }

@@ -2,7 +2,7 @@
 //!
 //! [`MetricsSnapshot`] is the one shape in which service state leaves
 //! [`PlannerService`](crate::serve::PlannerService): counters, latency
-//! histograms, gauges (cache occupancy, queue depth, breaker state), and —
+//! histograms, gauges (cache occupancy, misses in flight, breaker state), and —
 //! when tracing is enabled — the per-[`Stage`] latency histograms from the
 //! [`Tracer`](crate::trace::Tracer).
 //!
@@ -57,15 +57,15 @@ pub struct MetricsSnapshot {
     /// Requests shed at admission with
     /// [`MtmlfError::Overloaded`](crate::MtmlfError::Overloaded).
     pub sheds: u64,
-    /// Queued jobs a worker dropped without forwarding because their
-    /// deadline had already passed (their clients had timed out).
+    /// Cache misses never planned because their deadline had already
+    /// passed at admission (each is also counted in `timeouts`).
     pub expired: u64,
     /// Model forward attempts that were retried after a transient error.
     pub retries: u64,
     /// Times the circuit breaker transitioned to Open.
     pub breaker_opens: u64,
-    /// Model passes run by workers: one per queued query that reached the
-    /// planning ladder (a pass plans exactly one query).
+    /// Model passes run: one per cache miss that reached the planning
+    /// ladder (a pass plans exactly one query).
     pub batches: u64,
     /// Queries planned by those model passes; equal to `batches`, since a
     /// pass plans one query.
@@ -94,8 +94,8 @@ pub struct MetricsSnapshot {
     pub breaker_state: BreakerState,
     /// Plan-cache entries at snapshot time.
     pub cached_plans: u64,
-    /// Admitted-but-not-yet-dequeued requests at snapshot time.
-    pub queue_depth: u64,
+    /// Cache misses being planned at snapshot time.
+    pub in_flight: u64,
     /// Whether the service was built with `.tracing(..)`.
     pub tracing_enabled: bool,
     /// Complete request traces recorded (0 when tracing is off).
@@ -130,7 +130,7 @@ impl Default for MetricsSnapshot {
             fallback_latency: LatencyHistogram::default(),
             breaker_state: BreakerState::Closed,
             cached_plans: 0,
-            queue_depth: 0,
+            in_flight: 0,
             tracing_enabled: false,
             traces: 0,
             stage_latency: std::array::from_fn(|_| LatencyHistogram::default()),
@@ -287,13 +287,13 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
     push_counter(
         &mut out,
         "mtmlf_sheds_total",
-        "Requests shed at admission because the queue was full.",
+        "Cache misses shed at admission because max_in_flight misses were being planned.",
         m.sheds,
     );
     push_counter(
         &mut out,
         "mtmlf_expired_total",
-        "Queued jobs dropped before the forward because their deadline had passed.",
+        "Cache misses never planned because their deadline had passed at admission.",
         m.expired,
     );
     push_counter(
@@ -311,7 +311,7 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
     push_counter(
         &mut out,
         "mtmlf_batches_total",
-        "Model passes executed by workers (one query each).",
+        "Model passes run (one query each).",
         m.batches,
     );
     push_counter(
@@ -359,9 +359,9 @@ pub fn render_prometheus(m: &MetricsSnapshot) -> String {
     );
     push_gauge(
         &mut out,
-        "mtmlf_queue_depth",
-        "Admitted requests not yet dequeued by a worker.",
-        m.queue_depth,
+        "mtmlf_in_flight",
+        "Cache misses being planned.",
+        m.in_flight,
     );
     push_gauge(
         &mut out,
@@ -612,7 +612,7 @@ mod tests {
             batched_queries: 50,
             breaker_state: BreakerState::HalfOpen,
             cached_plans: 17,
-            queue_depth: 5,
+            in_flight: 5,
             tracing_enabled: true,
             traces: 97,
             swaps: 6,
@@ -660,7 +660,7 @@ mod tests {
         assert!(text.contains("mtmlf_responses_total{source=\"fallback\"} 20"));
         assert!(text.contains("mtmlf_breaker_opens_total 1"));
         assert!(text.contains("mtmlf_cache_entries 17"));
-        assert!(text.contains("mtmlf_queue_depth 5"));
+        assert!(text.contains("mtmlf_in_flight 5"));
         assert!(text.contains("mtmlf_tracing_enabled 1"));
         assert!(text.contains("mtmlf_breaker_state{state=\"half_open\"} 1"));
         assert!(text.contains("mtmlf_breaker_state{state=\"closed\"} 0"));

@@ -17,8 +17,8 @@
 //!   optimizer, answering when the model path errors, times out, or the
 //!   breaker is open. A model failure must never become a query failure.
 //! * [`FaultPlan`] (tests / `fault-injection` feature only) — a seeded,
-//!   deterministic fault-injection harness threaded through the worker
-//!   loop: error-on-nth-forward, latency spikes, and worker-panic
+//!   deterministic fault-injection harness consulted ahead of every model
+//!   forward: error-on-nth-forward, latency spikes, and panicking forwards
 //!   (poisoned-lock) simulation, driving the chaos suite in
 //!   `crates/core/tests/chaos.rs`.
 
@@ -105,7 +105,8 @@ pub struct BreakerConfig {
     pub failure_threshold: u32,
     /// How long an open breaker rejects before admitting one half-open
     /// probe. Also bounds how long a probe may stay unresolved before
-    /// another request may take it over (worker-death recovery).
+    /// another request may take it over (recovery from a probe whose
+    /// planning panicked).
     pub cooldown: Duration,
     /// The time source cool-downs are measured with.
     pub clock: Arc<dyn Clock>,
@@ -158,7 +159,7 @@ struct BreakerInner {
 /// Every admitted or probing request must report its outcome with
 /// [`CircuitBreaker::on_success`] / [`CircuitBreaker::on_failure`]. A probe
 /// whose holder dies unreported is taken over by a later request once the
-/// cool-down has elapsed again, so a crashed worker cannot wedge the
+/// cool-down has elapsed again, so a panicked probe cannot wedge the
 /// breaker half-open forever. The `breaker-*` models in `mtmlf-lint`
 /// explore this protocol's interleavings exhaustively for small schedules.
 pub struct CircuitBreaker {
@@ -219,7 +220,8 @@ impl CircuitBreaker {
                 if g.probe_in_flight && now.saturating_sub(g.probe_started) < self.config.cooldown {
                     Admission::Rejected
                 } else {
-                    // The previous probe never reported (its worker died):
+                    // The previous probe never reported (its planning
+                    // panicked):
                     // hand the probe to this request rather than wedging.
                     g.probe_in_flight = true;
                     g.probe_started = now;
@@ -356,7 +358,7 @@ impl FallbackPlanner {
 
 #[cfg(any(test, feature = "fault-injection"))]
 mod fault {
-    //! Deterministic fault injection for the worker loop. Compiled only
+    //! Deterministic fault injection for model forwards. Compiled only
     //! into tests and the `fault-injection` feature; release builds carry
     //! no trace of it.
 
@@ -372,8 +374,8 @@ mod fault {
         Error,
         /// The forward stalls for this long before running (latency spike).
         Delay(Duration),
-        /// The worker thread panics mid-plan — simulates a crashed worker
-        /// and exercises poisoned-lock recovery end to end.
+        /// The forward panics mid-plan — simulates a crashing planner and
+        /// exercises poisoned-lock recovery end to end.
         Panic,
     }
 
@@ -416,7 +418,7 @@ mod fault {
             self
         }
 
-        /// Scripts a worker panic on the `n`-th forward.
+        /// Scripts a panic on the `n`-th forward.
         pub fn panic_on(mut self, n: u64) -> Self {
             self.scripted.insert(n, Fault::Panic);
             self
@@ -443,7 +445,7 @@ mod fault {
         }
 
         /// Applies the next scheduled fault at a forward site: sleeps
-        /// through a latency spike, panics for a worker-crash simulation,
+        /// through a latency spike, panics for a crash simulation,
         /// or returns the transient error the forward should fail with.
         pub fn inject(&self) -> Result<(), crate::MtmlfError> {
             match self.next_fault() {
@@ -454,7 +456,7 @@ mod fault {
                     std::thread::sleep(by);
                     Ok(())
                 }
-                Some(Fault::Panic) => panic!("injected fault: worker panic"),
+                Some(Fault::Panic) => panic!("injected fault: forward panic"),
                 None => Ok(()),
             }
         }

@@ -7,24 +7,25 @@
 //!   canonical [`QueryFingerprint`], so a repeated query (even with its
 //!   tables, joins, or predicates written in a different order) is answered
 //!   without touching the model.
-//! * **Worker pool** — a cache miss is queued to a dedicated worker thread
-//!   through a bounded channel, and each model pass plans exactly that one
-//!   query ([`crate::batch::plan_traced`]); client threads block only on
-//!   their own reply. Concurrent misses of the same query each run a pass;
-//!   the second finds the first's answer in the cache when it arrives
-//!   later.
+//! * **Caller-runs planning** — a cache miss is planned on the calling
+//!   thread, one model pass for that one query
+//!   ([`crate::batch::plan_traced`]), the way a classical optimizer runs
+//!   inside the session that asked. The service starts no thread.
+//!   Concurrent misses of the same query each run a pass; the later one
+//!   overwrites the earlier one's identical cache entry.
 //! * **Fault tolerance** — the degradation ladder of DESIGN.md §9:
 //!   per-request **deadlines** ([`PlanRequest::with_deadline`]), bounded
 //!   **retry** with deterministic backoff for transient errors, a
 //!   **circuit breaker** over the model path, a classical-optimizer
 //!   **fallback** ([`FallbackPlanner`], reported as
 //!   [`PlanSource::Fallback`]), and **admission control** that sheds load
-//!   with [`MtmlfError::Overloaded`] when the request queue is full. A
+//!   with [`MtmlfError::Overloaded`] when
+//!   [`ServiceConfig::max_in_flight`] misses are already being planned. A
 //!   model failure never becomes a query failure when a fallback is
 //!   configured.
 //!
 //! Model-path responses are bitwise identical to calling
-//! [`MtmlfQo::plan_with_estimates`] directly — the worker runs the same
+//! [`MtmlfQo::plan_with_estimates`] directly — a miss runs the same
 //! arithmetic, and the cache only replays stored model output. Fallback
 //! responses are the deterministic DP optimum of `mtmlf-optd` and are never
 //! cached (the cache stores model output only).
@@ -45,26 +46,29 @@ use crate::trace::{
     RequestTrace, Stage, StageRecorder, TraceBuilder, TraceConfig, TraceOutcome, Tracer,
 };
 use crate::Result;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use mtmlf_query::{fingerprint, Query, QueryFingerprint};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for [`ServiceBuilder::start`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Inference worker threads (≥ 1).
+    /// Has no effect: cache misses are planned on the calling thread, so
+    /// the service has no worker threads to size. Kept only because the
+    /// benchmark under `perfbench/` still sets it; it is removed together
+    /// with the benchmark change of ROADMAP.md item 2.
+    #[deprecated(note = "has no effect: cache misses are planned on the calling thread")]
     pub workers: usize,
     /// Plan-cache entries across all shards; `0` disables caching.
     pub cache_capacity: usize,
     /// Cache shard count (lock-contention granularity).
     pub cache_shards: usize,
-    /// Bound on queued (admitted, not yet planned) requests (≥ 1).
-    /// Admission beyond it fails fast with [`MtmlfError::Overloaded`]
-    /// instead of growing an unbounded backlog.
-    pub queue_capacity: usize,
+    /// Bound on cache misses being planned at once (≥ 1). A miss beyond
+    /// it fails fast with [`MtmlfError::Overloaded`] instead of adding
+    /// one more model pass to a saturated host.
+    pub max_in_flight: usize,
     /// Deadline applied to requests that do not carry their own.
     /// `None` means such requests wait indefinitely.
     pub default_deadline: Option<Duration>,
@@ -74,13 +78,14 @@ pub struct ServiceConfig {
     pub breaker: crate::resilience::BreakerConfig,
 }
 
+#[allow(deprecated)] // `workers` still needs a value
 impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 2,
             cache_capacity: 1024,
             cache_shards: 8,
-            queue_capacity: 1024,
+            max_in_flight: 1024,
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: crate::resilience::BreakerConfig::default(),
@@ -90,30 +95,13 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     fn validate(&self) -> Result<()> {
-        if self.workers == 0 {
+        if self.max_in_flight == 0 {
             return Err(MtmlfError::InvalidConfig(
-                "service needs at least one worker thread".into(),
-            ));
-        }
-        if self.queue_capacity == 0 {
-            return Err(MtmlfError::InvalidConfig(
-                "queue_capacity must be at least 1".into(),
+                "max_in_flight must be at least 1".into(),
             ));
         }
         Ok(())
     }
-}
-
-struct Job {
-    query: Query,
-    fp: QueryFingerprint,
-    /// Absolute deadline; a worker drops the job (instead of forwarding it)
-    /// once this has passed, because the client has already timed out.
-    deadline: Option<Instant>,
-    reply: Sender<Result<(PlanPayload, PlanSource)>>,
-    /// The request's in-flight trace; travels with the job so whichever
-    /// thread finishes the request completes its trace.
-    trace: Option<TraceBuilder>,
 }
 
 /// Power-of-two latency histogram: bucket `i` counts samples whose latency
@@ -283,15 +271,15 @@ impl MetricsInner {
             cache_latency,
             model_latency,
             fallback_latency,
-            // Gauges (breaker, cache occupancy, queue depth, tracing) are
+            // Gauges (breaker, cache occupancy, misses in flight, tracing) are
             // filled in by `PlannerService::metrics`.
             ..MetricsSnapshot::default()
         }
     }
 }
 
-/// A thread-safe planning service: shared plan cache, worker pool, and the
-/// fault-tolerance ladder of DESIGN.md §9. See the
+/// A thread-safe planning service: shared plan cache, caller-runs model
+/// path, and the fault-tolerance ladder of DESIGN.md §9. See the
 /// [module docs](self) for the architecture.
 ///
 /// # Example
@@ -324,49 +312,27 @@ impl MetricsInner {
 /// # }
 /// ```
 pub struct PlannerService {
-    /// `None` once [`PlannerService::shutdown`] has run; behind a `RwLock`
-    /// so shutdown can race concurrent [`PlannerService::plan`] calls.
-    tx: RwLock<Option<Sender<Job>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// The model swap point; a miss resolves a model from it once, so one
+    /// request is planned by one version from start to end.
+    slot: ModelSlot,
     cache: Arc<PlanStore>,
-    metrics: Arc<MetricsInner>,
-    breaker: Arc<CircuitBreaker>,
-    tracer: Option<Arc<Tracer>>,
-    queue_depth: Arc<AtomicUsize>,
-    default_deadline: Option<Duration>,
-    /// The swap point workers plan through ([`crate::lifecycle`]).
-    slot: Arc<ModelSlot>,
-}
-
-/// Everything one worker thread needs; cloned per worker.
-#[derive(Clone)]
-struct WorkerCtx {
-    /// The model swap point; a worker resolves a model from it once per
-    /// job, so a job is planned by one version from start to end.
-    slot: Arc<ModelSlot>,
-    cache: Arc<PlanStore>,
-    metrics: Arc<MetricsInner>,
+    metrics: MetricsInner,
+    breaker: CircuitBreaker,
     fallback: Option<FallbackPlanner>,
-    breaker: Arc<CircuitBreaker>,
     retry: RetryPolicy,
-    tracer: Option<Arc<Tracer>>,
-    queue_depth: Arc<AtomicUsize>,
+    tracer: Option<Tracer>,
+    default_deadline: Option<Duration>,
+    max_in_flight: usize,
+    /// Cache misses between admission and their reply: the admission
+    /// count, the `in_flight` gauge, and what shutdown waits on.
+    in_flight: AtomicUsize,
+    /// Set once by [`PlannerService::shutdown`]; every later request is
+    /// refused.
+    closed: AtomicBool,
+    /// Where shutdown sleeps until `in_flight` reaches zero.
+    idle: (Mutex<()>, Condvar),
     #[cfg(any(test, feature = "fault-injection"))]
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl WorkerCtx {
-    /// The fault-injection hook ahead of a model forward: `inject` sleeps
-    /// through latency spikes, panics for worker-crash simulation, and
-    /// returns Err for an injected forward failure. Always `Ok` in builds
-    /// without fault injection.
-    fn inject_fault(&self) -> Result<()> {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(faults) = &self.faults {
-            return faults.inject();
-        }
-        Ok(())
-    }
+    faults: Option<FaultPlan>,
 }
 
 /// Configures and starts a [`PlannerService`]; from
@@ -393,7 +359,7 @@ pub struct ServiceBuilder {
     tracing: Option<TraceConfig>,
     durable: Option<DurableConfig>,
     #[cfg(any(test, feature = "fault-injection"))]
-    faults: Option<Arc<FaultPlan>>,
+    faults: Option<FaultPlan>,
 }
 
 impl ServiceBuilder {
@@ -463,12 +429,12 @@ impl ServiceBuilder {
     /// code at all.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(faults));
+        self.faults = Some(faults);
         self
     }
 
-    /// Validates the config, spawns the worker pool, and returns the
-    /// running service.
+    /// Validates the config, opens the plan cache (recovering a durable
+    /// one), and returns the running service.
     pub fn start(self) -> Result<PlannerService> {
         let Self {
             model,
@@ -487,64 +453,75 @@ impl ServiceBuilder {
             Some(durable) => PlanStore::open(config.cache_capacity, config.cache_shards, durable)?,
             None => PlanStore::in_memory(config.cache_capacity, config.cache_shards),
         });
-        let metrics = Arc::new(MetricsInner::default());
-        let breaker = Arc::new(CircuitBreaker::new(config.breaker.clone()));
-        let tracer = tracing.map(|t| Arc::new(Tracer::new(&t)));
-        let queue_depth = Arc::new(AtomicUsize::new(0));
-        let slot = Arc::new(ModelSlot::with_version(model, model_version));
-        let (tx, rx) = bounded::<Job>(config.queue_capacity);
-        let ctx = WorkerCtx {
-            slot: Arc::clone(&slot),
-            cache: Arc::clone(&cache),
-            metrics: Arc::clone(&metrics),
+        Ok(PlannerService {
+            slot: ModelSlot::with_version(model, model_version),
+            cache,
+            metrics: MetricsInner::default(),
+            breaker: CircuitBreaker::new(config.breaker),
             fallback,
-            breaker: Arc::clone(&breaker),
-            retry: config.retry.clone(),
-            tracer: tracer.clone(),
-            queue_depth: Arc::clone(&queue_depth),
+            retry: config.retry,
+            tracer: tracing.map(|t| Tracer::new(&t)),
+            default_deadline: config.default_deadline,
+            max_in_flight: config.max_in_flight,
+            in_flight: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
+            idle: (Mutex::new(()), Condvar::new()),
             #[cfg(any(test, feature = "fault-injection"))]
             faults,
-        };
-        let workers = (0..config.workers)
-            .map(|i| {
-                let ctx = ctx.clone();
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("mtmlf-planner-{i}"))
-                    .spawn(move || worker_loop(&ctx, &rx))
-                    .map_err(|e| MtmlfError::Service(format!("spawn worker: {e}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(PlannerService {
-            tx: RwLock::new(Some(tx)),
-            workers: Mutex::new(workers),
-            cache,
-            metrics,
-            breaker,
-            tracer,
-            queue_depth,
-            default_deadline: config.default_deadline,
-            slot,
         })
+    }
+}
+
+/// One cache miss counted in [`PlannerService::in_flight`] for as long as
+/// it lives. Dropping the last one after shutdown has begun wakes the
+/// shutdown.
+struct InFlight<'a> {
+    service: &'a PlannerService,
+    /// Misses already in flight when this one was counted.
+    ahead: usize,
+}
+
+impl<'a> InFlight<'a> {
+    fn enter(service: &'a PlannerService) -> Self {
+        let ahead = service.in_flight.fetch_add(1, Ordering::SeqCst);
+        Self { service, ahead }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let s = self.service;
+        if s.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 && s.closed.load(Ordering::SeqCst) {
+            // Notify under the lock: shutdown reads the count and starts
+            // waiting while holding it, so the wake-up cannot fall between.
+            let _guard = s.idle.0.lock().unwrap_or_else(PoisonError::into_inner);
+            s.idle.1.notify_all();
+        }
     }
 }
 
 impl PlannerService {
     /// Starts configuring a service over `model`; finish with
-    /// [`ServiceBuilder::start`]. Dropping the started service drains and
-    /// joins the workers (see [`PlannerService::shutdown`]).
+    /// [`ServiceBuilder::start`]. Dropping the started service shuts it
+    /// down (see [`PlannerService::shutdown`]).
     pub fn builder(model: Arc<MtmlfQo>) -> ServiceBuilder {
         ServiceBuilder::new(model)
     }
 
-    /// Plans one query, from cache when possible, otherwise via the worker
-    /// pool. Blocks the calling thread until its response is ready or its
-    /// deadline expires; safe to call concurrently from many threads.
+    /// Plans one query, from cache when possible, otherwise with one model
+    /// pass on the calling thread. Safe to call concurrently from many
+    /// threads.
     ///
     /// Every call returns exactly one result: a [`PlanResponse`] (cached,
     /// modeled, or fallback) or a typed error ([`MtmlfError::Timeout`],
     /// [`MtmlfError::Overloaded`], [`MtmlfError::Service`], or the model's
     /// own error). The chaos suite asserts this under injected faults.
+    ///
+    /// Deadlines are checked before the forward and after it, the
+    /// [`PlanClient`] contract: a miss whose deadline has already passed
+    /// is never planned (counted as `expired`), and a forward that overruns
+    /// the deadline returns [`MtmlfError::Timeout`] when it ends. Its model
+    /// output is still cached, so the next request for the query hits.
     pub fn plan(&self, request: impl Into<PlanRequest>) -> Result<PlanResponse> {
         let PlanRequest {
             query,
@@ -553,97 +530,86 @@ impl PlannerService {
         } = request.into();
         let start = Instant::now();
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        // Open the trace at admission, stamping breaker state and queue
-        // depth as the operator would have seen them. `trace: Some(false)`
+        // Open the trace at admission, stamping breaker state and misses in
+        // flight as the operator would have seen them. `trace: Some(false)`
         // opts the request out even on a tracing service; `Some(true)` is a
         // no-op without a tracer.
         let mut trace = if trace_pref.unwrap_or(true) {
-            self.tracer.as_ref().map(|t| {
-                t.begin(
-                    self.breaker.state(),
-                    self.queue_depth.load(Ordering::Relaxed),
-                )
-            })
+            self.tracer
+                .as_ref()
+                .map(|t| t.begin(self.breaker.state(), self.in_flight.load(Ordering::Relaxed)))
         } else {
             None
         };
-        let deadline = deadline.or(self.default_deadline);
         // Saturating: a deadline too large to represent is no deadline.
-        let abs_deadline = deadline.and_then(|d| start.checked_add(d));
+        let deadline = deadline
+            .or(self.default_deadline)
+            .and_then(|d| start.checked_add(d));
+        let past = || deadline.is_some_and(|d| d <= Instant::now());
 
-        // Refuse before the cache probe: a shut-down service answers
-        // nothing, not even hits (mirrors the service model, where any
-        // submit after close is Rejected). The sender is cloned out of the
-        // guard so the read lock is not held across the cache probe, the
-        // admission attempt, or the reply wait.
-        let tx = {
-            let guard = self.tx.read().unwrap_or_else(PoisonError::into_inner);
-            guard.clone()
+        // A shut-down service answers nothing, not even hits.
+        if self.closed.load(Ordering::SeqCst) {
+            return self.fail(trace, TraceOutcome::Error, shut_down());
+        }
+        let mut untraced = StageRecorder::disabled();
+        let recorder = match trace.as_mut() {
+            Some(tb) => tb.recorder(),
+            None => &mut untraced,
         };
-        let Some(tx) = tx else {
-            self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            self.finish_trace(trace, TraceOutcome::Error);
-            return Err(MtmlfError::Service("planner service is shut down".into()));
-        };
-        let fp = match trace.as_mut() {
-            Some(tb) => tb.timed(Stage::Fingerprint, || fingerprint(&query)),
-            None => fingerprint(&query),
-        };
-
-        // Fast path: answer cache hits on the calling thread, no handoff.
-        let probe = match trace.as_mut() {
-            Some(tb) => tb.timed(Stage::CacheLookup, || self.cache.get(&fp)),
-            None => self.cache.get(&fp),
-        };
-        if let Some(hit) = probe {
+        let fp = recorder.timed(Stage::Fingerprint, || fingerprint(&query));
+        if let Some(hit) = recorder.timed(Stage::CacheLookup, || self.cache.get(&fp)) {
             self.finish_trace(trace, TraceOutcome::Served(PlanSource::Cache));
             return Ok(self.respond(hit, PlanSource::Cache, start));
         }
 
-        if let Some(tb) = trace.as_mut() {
-            tb.mark_queued();
+        // Admission. The miss is counted before it reads `closed`, so a
+        // shutdown that set the flag after this read waits for the count
+        // to drain and cannot flush ahead of this plan's cache insert.
+        let in_flight = InFlight::enter(self);
+        if self.closed.load(Ordering::SeqCst) {
+            return self.fail(trace, TraceOutcome::Error, shut_down());
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        let job = Job {
-            query,
-            fp,
-            deadline: abs_deadline,
-            reply: reply_tx,
-            trace,
-        };
-        // Admission control: never block on a full queue — shed instead.
-        // The sender clone is dropped eagerly either way: a shutdown that
-        // raced this call must not wait on this thread's reply round-trip
-        // to see the channel close. The depth gauge is raised before the
-        // send so a worker's decrement can never observe it at zero.
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let sent = tx.try_send(job);
-        drop(tx);
-        match sent {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.sheds.fetch_add(1, Ordering::Relaxed);
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                self.finish_trace(job.trace, TraceOutcome::Shed);
-                return Err(MtmlfError::Overloaded);
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                self.finish_trace(job.trace, TraceOutcome::Error);
-                return Err(MtmlfError::Service("planner workers are gone".into()));
-            }
+        if in_flight.ahead >= self.max_in_flight {
+            self.metrics.sheds.fetch_add(1, Ordering::Relaxed);
+            return self.fail(trace, TraceOutcome::Shed, MtmlfError::Overloaded);
         }
-        match wait_reply(&reply_rx, abs_deadline) {
-            Ok((plan, source)) => Ok(self.respond(plan, source, start)),
-            Err(e) => {
-                if matches!(e, MtmlfError::Timeout) {
-                    self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+        // A miss already past its deadline would spend a model pass on an
+        // answer nobody waits for.
+        if past() {
+            self.metrics.expired.fetch_add(1, Ordering::Relaxed);
+            self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+            return self.fail(trace, TraceOutcome::Expired, MtmlfError::Timeout);
+        }
+
+        self.metrics.batches.fetch_add(1, Ordering::Relaxed);
+        self.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
+        // Resolve the model once: a concurrent hot swap can never split one
+        // request's retries across versions.
+        let (model, _) = self.slot.active();
+        // A panicking forward (an injected fault, or a bug) costs its
+        // caller one `Service` error, not the session thread.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.plan_one(&model, &query, recorder)))
+            .unwrap_or_else(|_| Err(MtmlfError::Service("planning panicked".into())));
+
+        match outcome {
+            Ok((plan, source)) => {
+                // Cache model output only: fallback plans are cheap to
+                // recompute and must stop being served the moment the
+                // model path recovers.
+                if source == PlanSource::Model {
+                    self.cache.insert(fp, plan.clone());
                 }
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                Err(e)
+                if past() {
+                    self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                    return self.fail(trace, TraceOutcome::Error, MtmlfError::Timeout);
+                }
+                if let Some(tb) = trace.as_mut().filter(|_| source == PlanSource::Model) {
+                    tb.set_est_card(plan.est_card);
+                }
+                self.finish_trace(trace, TraceOutcome::Served(source));
+                Ok(self.respond(plan, source, start))
             }
+            Err(e) => self.fail(trace, TraceOutcome::Error, e),
         }
     }
 
@@ -659,11 +625,101 @@ impl PlannerService {
         }
     }
 
-    /// Completes a client-side trace (cache hit, shed, refusal). Queued
-    /// requests are completed by the worker instead.
+    /// Counts an error response, completes its trace, and returns it.
+    fn fail(
+        &self,
+        trace: Option<TraceBuilder>,
+        outcome: TraceOutcome,
+        error: MtmlfError,
+    ) -> Result<PlanResponse> {
+        self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        self.finish_trace(trace, outcome);
+        Err(error)
+    }
+
+    /// Completes a request's trace; runs before the caller has its answer,
+    /// so a caller that has one is guaranteed to find the complete trace.
     fn finish_trace(&self, trace: Option<TraceBuilder>, outcome: TraceOutcome) {
         if let (Some(tracer), Some(tb)) = (&self.tracer, trace) {
             tb.finish(tracer, outcome);
+        }
+    }
+
+    /// The fault-injection hook ahead of a model forward: `inject` sleeps
+    /// through latency spikes, panics for a crash simulation, and returns
+    /// Err for an injected forward failure. Always `Ok` in builds without
+    /// fault injection.
+    fn inject_fault(&self) -> Result<()> {
+        #[cfg(any(test, feature = "fault-injection"))]
+        if let Some(faults) = &self.faults {
+            return faults.inject();
+        }
+        Ok(())
+    }
+
+    /// Runs the degradation ladder for one query: breaker admission → model
+    /// forward with bounded retry → classical fallback when the model path
+    /// could not answer. Every stage span, the fallback's included, lands in
+    /// `recorder`.
+    fn plan_one(
+        &self,
+        model: &MtmlfQo,
+        query: &Query,
+        recorder: &mut StageRecorder,
+    ) -> Result<(PlanPayload, PlanSource)> {
+        // `None` when the breaker rejected the query: the model was never
+        // asked. Every attempt's outcome (success or failure) is reported to
+        // the breaker — a transient failure that will be retried is still
+        // evidence the model path is unhealthy.
+        let model_err = if self.breaker.try_acquire() == Admission::Rejected {
+            None
+        } else {
+            let mut attempt: u32 = 0;
+            loop {
+                // The fault-injection hook runs ahead of every model pass.
+                match self
+                    .inject_fault()
+                    .and_then(|()| plan_traced(model, query, recorder))
+                {
+                    Ok(planned) => {
+                        self.breaker.on_success();
+                        let plan = PlanPayload::new(
+                            planned.join_order,
+                            planned.est_card,
+                            planned.est_cost,
+                        );
+                        return Ok((plan, PlanSource::Model));
+                    }
+                    Err(e) => {
+                        self.breaker.on_failure();
+                        if !is_transient(&e) || attempt >= self.retry.max_retries {
+                            break Some(e);
+                        }
+                        self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                        recorder.timed(Stage::Retry, || {
+                            std::thread::sleep(self.retry.backoff(attempt))
+                        });
+                        attempt += 1;
+                    }
+                }
+            }
+        };
+
+        let Some(fallback) = &self.fallback else {
+            return Err(model_err.unwrap_or_else(|| {
+                MtmlfError::Service(
+                    "circuit breaker open and no fallback planner configured".into(),
+                )
+            }));
+        };
+        match recorder.timed(Stage::Fallback, || fallback.plan(query)) {
+            Ok((join_order, est_card, est_cost)) => Ok((
+                PlanPayload::new(join_order, est_card, est_cost),
+                PlanSource::Fallback,
+            )),
+            // The ladder ran dry: surface the model's error when there is one
+            // (it names the primary path), otherwise the fallback's.
+            Err(fb_err) => Err(model_err.unwrap_or(fb_err)),
         }
     }
 
@@ -677,7 +733,7 @@ impl PlannerService {
         m.cached_plans = self.cache.len() as u64;
         m.warm_start_entries = self.cache.warm_start_entries();
         m.log_compactions = self.cache.log_compactions();
-        m.queue_depth = self.queue_depth.load(Ordering::Relaxed) as u64;
+        m.in_flight = self.in_flight.load(Ordering::Relaxed) as u64;
         m.model_version = self.slot.version().0;
         if let Some(tracer) = &self.tracer {
             m.tracing_enabled = true;
@@ -736,11 +792,11 @@ impl PlannerService {
         self.slot.version()
     }
 
-    /// Atomically hot-swaps `candidate` in as the active model. In-flight
-    /// jobs finish on the version they read; subsequent jobs plan with
+    /// Atomically hot-swaps `candidate` in as the active model. Misses in
+    /// flight finish on the version they read; later misses plan with
     /// `candidate`; no request is dropped. On a real swap the plan cache is
     /// cleared (its entries belong to the displaced version) and the
-    /// displaced model is freed once no job holds it. Idempotent on
+    /// displaced model is freed once no miss holds it. Idempotent on
     /// `version`. To roll back, re-adopt the older version from the
     /// registry with [`PlannerService::adopt_version`].
     pub fn swap_model(&self, candidate: Arc<MtmlfQo>, version: ModelVersion) -> SwapOutcome {
@@ -780,37 +836,29 @@ impl PlannerService {
         &self.cache
     }
 
-    /// Stops accepting new requests and joins the worker pool.
+    /// Stops accepting requests, waits for the misses in flight, then
+    /// flushes the plan cache's write-behind log.
     ///
-    /// Graceful by construction: requests already queued (or mid-plan) are
-    /// still planned and their callers still receive replies, because the
-    /// workers drain the channel's buffer before observing disconnection.
-    /// `plan` calls that arrive after shutdown return
-    /// [`MtmlfError::Service`]. Idempotent and safe to call concurrently
-    /// with `plan` from any number of threads; the
-    /// `service-shutdown`/`service-2client` models in `mtmlf-lint` explore
-    /// every interleaving of this race for small thread counts.
+    /// Graceful by construction: a miss admitted before the close is still
+    /// planned, its caller gets its reply, and its model output is cached
+    /// before the flush, so a durable service reopened on the same
+    /// directory warm-starts with it. `plan` calls that arrive after
+    /// shutdown return [`MtmlfError::Service`]. Idempotent and safe to call
+    /// concurrently with `plan` from any number of threads.
     pub fn shutdown(&self) {
-        // Take the sender inside a block so the write guard drops before
-        // joining: a worker blocked on a reply to a client that is itself
-        // blocked in `plan` must not deadlock against this lock.
-        let sender = {
-            let mut guard = self.tx.write().unwrap_or_else(PoisonError::into_inner);
-            guard.take()
-        };
-        // Closing the channel lets each worker drain and exit its loop.
-        drop(sender);
-        let handles = {
-            let mut guard = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-            std::mem::take(&mut *guard)
-        };
-        for handle in handles {
-            let _ = handle.join();
+        self.closed.store(true, Ordering::SeqCst);
+        let (lock, drained) = &self.idle;
+        let mut guard = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while self.in_flight.load(Ordering::SeqCst) > 0 {
+            guard = drained.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
-        // Workers are gone: nothing mutates the cache anymore, so a final
-        // flush makes an orderly shutdown lose no write-behind records.
+        drop(guard);
         self.cache.flush();
     }
+}
+
+fn shut_down() -> MtmlfError {
+    MtmlfError::Service("planner service is shut down".into())
 }
 
 impl Drop for PlannerService {
@@ -826,8 +874,8 @@ impl PlanClient for PlannerService {
 }
 
 /// The single-threaded facade speaks the same client vocabulary: no cache,
-/// no workers, no breaker — every request runs one model forward inline on
-/// the calling thread and reports [`PlanSource::Model`].
+/// no breaker — every request runs one model forward inline on the calling
+/// thread and reports [`PlanSource::Model`].
 ///
 /// Deadlines are checked after the forward (the facade cannot interrupt a
 /// running forward): a request whose budget was exceeded by the time the
@@ -849,155 +897,6 @@ impl PlanClient for MtmlfQo {
             PlanSource::Model,
             latency,
         ))
-    }
-}
-
-/// Blocks on a queued request's reply, bounded by its absolute deadline. A
-/// missed deadline is [`MtmlfError::Timeout`]; a reply channel dropped
-/// unanswered (a panicked worker) is [`MtmlfError::Service`].
-fn wait_reply(
-    reply_rx: &Receiver<Result<(PlanPayload, PlanSource)>>,
-    abs_deadline: Option<Instant>,
-) -> Result<(PlanPayload, PlanSource)> {
-    let dropped = || MtmlfError::Service("planner worker dropped the reply".into());
-    match abs_deadline {
-        Some(d) => match reply_rx.recv_deadline(d) {
-            Ok(outcome) => outcome,
-            Err(RecvTimeoutError::Timeout) => Err(MtmlfError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(dropped()),
-        },
-        None => reply_rx.recv().unwrap_or_else(|_| Err(dropped())),
-    }
-}
-
-fn worker_loop(ctx: &WorkerCtx, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        ctx.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        process_job(ctx, job);
-    }
-}
-
-/// Completes a job's trace on the worker side (cache re-hit, expiry, or the
-/// planned outcome). Must run before the reply send, so a client that has
-/// its answer is guaranteed to find the complete trace.
-fn finish_job_trace(ctx: &WorkerCtx, job: &mut Job, outcome: TraceOutcome) {
-    if let (Some(tracer), Some(tb)) = (&ctx.tracer, job.trace.take()) {
-        tb.finish(tracer, outcome);
-    }
-}
-
-fn process_job(ctx: &WorkerCtx, mut job: Job) {
-    if let (Some(tracer), Some(tb)) = (&ctx.tracer, job.trace.as_mut()) {
-        tb.close_queue(tracer.now());
-    }
-
-    // Re-check the cache: another client may have planned the same query
-    // between this job's miss and now.
-    if let Some(hit) = ctx.cache.get(&job.fp) {
-        finish_job_trace(ctx, &mut job, TraceOutcome::Served(PlanSource::Cache));
-        let _ = job.reply.send(Ok((hit, PlanSource::Cache)));
-        return;
-    }
-
-    // Drop work whose deadline already passed: the client's recv_deadline
-    // has fired, so planning would spend a model pass on an answer nobody
-    // is waiting for. The reply send keeps the one-reply invariant literal
-    // (it is a no-op for a departed client).
-    if job.deadline.is_some_and(|d| d <= Instant::now()) {
-        ctx.metrics.expired.fetch_add(1, Ordering::Relaxed);
-        finish_job_trace(ctx, &mut job, TraceOutcome::Expired);
-        let _ = job.reply.send(Err(MtmlfError::Timeout));
-        return;
-    }
-
-    ctx.metrics.batches.fetch_add(1, Ordering::Relaxed);
-    ctx.metrics.batched_queries.fetch_add(1, Ordering::Relaxed);
-    let mut recorder = match &ctx.tracer {
-        Some(tracer) => StageRecorder::new(tracer.clock()),
-        None => StageRecorder::disabled(),
-    };
-    // Resolve the model once: a concurrent hot swap can never split one
-    // job's retries across versions.
-    let (model, _) = ctx.slot.active();
-    let outcome = plan_one(ctx, &model, &job.query, &mut recorder);
-
-    // Cache model output only: fallback plans are cheap to recompute and
-    // must stop being served the moment the model path recovers.
-    if let Ok((plan, PlanSource::Model)) = &outcome {
-        ctx.cache.insert(job.fp, plan.clone());
-    }
-    if let Some(tb) = job.trace.as_mut() {
-        tb.extend(recorder.spans());
-        if let Ok((plan, PlanSource::Model)) = &outcome {
-            tb.set_est_card(plan.est_card);
-        }
-        let traced = match &outcome {
-            Ok((_, source)) => TraceOutcome::Served(*source),
-            Err(_) => TraceOutcome::Error,
-        };
-        finish_job_trace(ctx, &mut job, traced);
-    }
-    let _ = job.reply.send(outcome);
-}
-
-/// Runs the degradation ladder for one query: breaker admission → model
-/// forward with bounded retry → classical fallback when the model path
-/// could not answer. Every stage span, the fallback's included, lands in
-/// `recorder`.
-fn plan_one(
-    ctx: &WorkerCtx,
-    model: &MtmlfQo,
-    query: &Query,
-    recorder: &mut StageRecorder,
-) -> Result<(PlanPayload, PlanSource)> {
-    // `None` when the breaker rejected the query: the model was never
-    // asked. Every attempt's outcome (success or failure) is reported to
-    // the breaker — a transient failure that will be retried is still
-    // evidence the model path is unhealthy.
-    let model_err = if ctx.breaker.try_acquire() == Admission::Rejected {
-        None
-    } else {
-        let mut attempt: u32 = 0;
-        loop {
-            // The fault-injection hook runs ahead of every model pass.
-            match ctx
-                .inject_fault()
-                .and_then(|()| plan_traced(model, query, recorder))
-            {
-                Ok(planned) => {
-                    ctx.breaker.on_success();
-                    let plan =
-                        PlanPayload::new(planned.join_order, planned.est_card, planned.est_cost);
-                    return Ok((plan, PlanSource::Model));
-                }
-                Err(e) => {
-                    ctx.breaker.on_failure();
-                    if !is_transient(&e) || attempt >= ctx.retry.max_retries {
-                        break Some(e);
-                    }
-                    ctx.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    recorder.timed(Stage::Retry, || {
-                        std::thread::sleep(ctx.retry.backoff(attempt))
-                    });
-                    attempt += 1;
-                }
-            }
-        }
-    };
-
-    let Some(fallback) = &ctx.fallback else {
-        return Err(model_err.unwrap_or_else(|| {
-            MtmlfError::Service("circuit breaker open and no fallback planner configured".into())
-        }));
-    };
-    match recorder.timed(Stage::Fallback, || fallback.plan(query)) {
-        Ok((join_order, est_card, est_cost)) => Ok((
-            PlanPayload::new(join_order, est_card, est_cost),
-            PlanSource::Fallback,
-        )),
-        // The ladder ran dry: surface the model's error when there is one
-        // (it names the primary path), otherwise the fallback's.
-        Err(fb_err) => Err(model_err.unwrap_or(fb_err)),
     }
 }
 
@@ -1048,10 +947,6 @@ mod tests {
     fn serves_plans_and_caches_repeats() {
         let (model, _db, queries) = setup();
         let service = PlannerService::builder(Arc::clone(&model))
-            .config(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            })
             .start()
             .expect("start service");
         for query in &queries {
@@ -1117,16 +1012,9 @@ mod tests {
     #[test]
     fn rejects_invalid_service_config() {
         let (model, _db, _) = setup();
-        let err = PlannerService::builder(Arc::clone(&model))
-            .config(ServiceConfig {
-                workers: 0,
-                ..ServiceConfig::default()
-            })
-            .start();
-        assert!(matches!(err, Err(MtmlfError::InvalidConfig(_))));
         let err = PlannerService::builder(model)
             .config(ServiceConfig {
-                queue_capacity: 0,
+                max_in_flight: 0,
                 ..ServiceConfig::default()
             })
             .start();
@@ -1211,7 +1099,6 @@ mod tests {
         let (breaker, _clock) = manual_breaker(100);
         let service = PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 1,
                 breaker,
                 retry: RetryPolicy {
                     max_retries: 2,
@@ -1237,7 +1124,6 @@ mod tests {
         let service = PlannerService::builder(Arc::clone(&model))
             .fallback(FallbackPlanner::new(Arc::clone(&db)))
             .config(ServiceConfig {
-                workers: 1,
                 retry: RetryPolicy {
                     max_retries: 0,
                     ..RetryPolicy::default()
@@ -1269,7 +1155,6 @@ mod tests {
         let (breaker, _clock) = manual_breaker(1);
         let service = PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 1,
                 retry: RetryPolicy {
                     max_retries: 0,
                     ..RetryPolicy::default()
@@ -1294,29 +1179,28 @@ mod tests {
     #[test]
     fn overload_sheds_with_typed_error() {
         let (model, _db, queries) = setup();
-        // One worker stalled by an injected latency spike + a queue of one:
-        // the burst below must shed deterministically.
+        // One miss stalled by an injected latency spike holds the only
+        // in-flight slot: the burst below must shed deterministically.
         let service = Arc::new(
             PlannerService::builder(model)
                 .config(ServiceConfig {
-                    workers: 1,
-                    queue_capacity: 1,
+                    max_in_flight: 1,
                     ..ServiceConfig::default()
                 })
                 .faults(FaultPlan::new().delay_on(0, Duration::from_millis(300)))
                 .start()
                 .expect("start service"),
         );
-        // Occupy the worker…
+        // Occupy the slot…
         let occupant = {
             let service = Arc::clone(&service);
             let query = queries[0].clone();
             std::thread::spawn(move || service.plan(query))
         };
-        // …give it time to dequeue and hit the delay…
+        // …give it time to hit the delay…
         std::thread::sleep(Duration::from_millis(100));
-        // …then overfill the queue. Capacity 1 means at most one of these
-        // is admitted; the rest must shed.
+        // …then send a burst of misses. With the slot taken, every one
+        // of them must shed.
         let mut sheds = 0;
         let mut admitted = Vec::new();
         for query in queries.iter().skip(1).cycle().take(8) {
@@ -1325,7 +1209,10 @@ mod tests {
                 other => admitted.push(other),
             }
         }
-        assert!(sheds >= 1, "queue of 1 must shed an 8-request burst");
+        assert!(
+            sheds >= 1,
+            "one in-flight slot must shed an 8-request burst"
+        );
         let m = service.metrics();
         assert_eq!(m.sheds, sheds);
         assert!(m.errors >= sheds);
@@ -1333,40 +1220,31 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_yields_clean_error_and_service_survives() {
+    fn panicking_forward_yields_clean_error_and_service_survives() {
         let (model, _db, queries) = setup();
-        // Two workers; the first forward panics its worker. The victim
-        // client gets a clean Service error (dropped reply), and later
-        // requests are served by the surviving worker.
+        // The first forward panics. Its caller gets a clean Service error,
+        // and later requests are planned as usual.
         let service = PlannerService::builder(Arc::clone(&model))
-            .config(ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            })
             .faults(FaultPlan::new().panic_on(0))
             .start()
             .expect("start service");
         let victim = service.plan(queries[0].clone());
         assert!(
             matches!(victim, Err(MtmlfError::Service(_))),
-            "panicked worker must surface as a clean error, got {victim:?}"
+            "a panicking forward must surface as a clean error, got {victim:?}"
         );
         for query in &queries[1..] {
-            let resp = service.plan(query.clone()).expect("survivor serves");
+            let resp = service.plan(query.clone()).expect("service survives");
             assert_eq!(resp.source, PlanSource::Model);
         }
-        // Shutdown joins the panicked worker without propagating.
         service.shutdown();
+        assert_eq!(service.metrics().in_flight, 0, "the panicked miss left");
     }
 
     #[test]
     fn traced_requests_decompose_into_monotonic_stage_spans() {
         let (model, _db, queries) = setup();
         let service = PlannerService::builder(model)
-            .config(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            })
             .tracing(TraceConfig {
                 ring_capacity: 64,
                 ..TraceConfig::default()
@@ -1391,7 +1269,6 @@ mod tests {
         for stage in [
             Stage::Fingerprint,
             Stage::CacheLookup,
-            Stage::Queue,
             Stage::Featurize,
             Stage::Encode,
             Stage::Forward,
@@ -1407,7 +1284,10 @@ mod tests {
         let cache_trace = &traces[1];
         assert_eq!(cache_trace.outcome, TraceOutcome::Served(PlanSource::Cache));
         assert!(cache_trace.is_monotonic());
-        assert!(cache_trace.spans.iter().all(|s| s.stage != Stage::Queue));
+        assert!(cache_trace
+            .spans
+            .iter()
+            .all(|s| matches!(s.stage, Stage::Fingerprint | Stage::CacheLookup)));
 
         // Per-stage histograms: one sample per stage per traced request.
         assert_eq!(m.stage(Stage::CacheLookup).count, 2);
@@ -1438,7 +1318,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_gauge_returns_to_zero_when_quiescent() {
+    fn in_flight_gauge_returns_to_zero_when_quiescent() {
         let (model, _db, queries) = setup();
         let service = PlannerService::builder(model)
             .tracing(TraceConfig::default())
@@ -1449,7 +1329,7 @@ mod tests {
         }
         service.shutdown();
         let m = service.metrics();
-        assert_eq!(m.queue_depth, 0, "all admitted jobs were dequeued");
+        assert_eq!(m.in_flight, 0, "every admitted miss left");
         assert_eq!(m.cached_plans, queries.len() as u64);
         assert_eq!(m.breaker_state, BreakerState::Closed);
     }

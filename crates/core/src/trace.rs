@@ -4,7 +4,7 @@
 //! *often* things happen; this module says *where the time went* and *what
 //! happened to request X*. Every request admitted by a tracing-enabled
 //! [`PlannerService`](crate::serve::PlannerService) is decomposed into
-//! [`Stage`] spans — fingerprinting, cache lookup, queueing, featurization,
+//! [`Stage`] spans — fingerprinting, cache lookup, featurization,
 //! the transformer forwards, beam decode, retry backoff, classical
 //! fallback — aggregated into per-stage latency histograms plus a bounded
 //! ring buffer of the last N complete [`RequestTrace`]s.
@@ -34,39 +34,34 @@ use std::time::Duration;
 /// A lifecycle stage of one planning request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Canonical fingerprinting of the query (client thread).
+    /// Canonical fingerprinting of the query.
     Fingerprint = 0,
-    /// Plan-cache probe (client thread; re-probes on the worker are folded
-    /// into the same stage).
+    /// Plan-cache probe.
     CacheLookup = 1,
-    /// Time between admission to the request queue and a worker dequeuing
-    /// the job.
-    Queue = 2,
     /// Plan serialization into node-embedding sequences (both the initial
     /// plan and the chosen plan's re-serialization).
-    Featurize = 3,
+    Featurize = 2,
     /// The `Trans_Share` forward over the initial plan.
-    Encode = 4,
+    Encode = 3,
     /// The estimation forward over the chosen plan plus the card/cost
     /// heads.
-    Forward = 5,
+    Forward = 4,
     /// Legality-pruned beam decode of the join orders.
-    Beam = 6,
+    Beam = 5,
     /// Deterministic backoff sleeps between retried forwards.
-    Retry = 7,
+    Retry = 6,
     /// The classical fallback planner.
-    Fallback = 8,
+    Fallback = 7,
 }
 
 impl Stage {
     /// Number of stages (array dimension for per-stage aggregates).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Fingerprint,
         Stage::CacheLookup,
-        Stage::Queue,
         Stage::Featurize,
         Stage::Encode,
         Stage::Forward,
@@ -80,7 +75,6 @@ impl Stage {
         match self {
             Stage::Fingerprint => "fingerprint",
             Stage::CacheLookup => "cache_lookup",
-            Stage::Queue => "queue",
             Stage::Featurize => "featurize",
             Stage::Encode => "encode",
             Stage::Forward => "forward",
@@ -120,23 +114,19 @@ impl StageSpan {
 pub enum TraceOutcome {
     /// Answered with a plan from this source.
     Served(PlanSource),
-    /// Shed at admission (queue full).
+    /// Shed at admission (`max_in_flight` misses already being planned).
     Shed,
-    /// Dequeued after its deadline had passed; dropped before the forward.
+    /// Its deadline had passed before the forward; never planned.
     Expired,
     /// Returned a typed error (model failure with no fallback, shutdown
-    /// refusal, …).
+    /// refusal, a forward that overran the deadline, …).
     Error,
 }
 
 /// One complete request trace, as kept in the [`Tracer`]'s ring buffer.
 ///
-/// The trace is completed by whichever thread finished the request — the
-/// client thread for cache hits and sheds, a worker for everything queued —
-/// so `completed_at` marks when the service *produced* the response, not
-/// when the client woke up from its reply channel (a few microseconds
-/// later). A client that times out leaves its trace to the worker, which
-/// completes it with the service-side outcome once it processes the job.
+/// The calling thread completes the trace just before `plan` returns, so
+/// `completed_at` marks when the response was ready.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
     /// Monotonically increasing per-service request id.
@@ -149,8 +139,8 @@ pub struct RequestTrace {
     pub outcome: TraceOutcome,
     /// Circuit-breaker state observed at admission.
     pub breaker: BreakerState,
-    /// Request-queue depth observed at admission.
-    pub queue_depth: usize,
+    /// Cache misses in flight observed at admission.
+    pub in_flight: usize,
     /// Stage spans in the order they were recorded.
     pub spans: Vec<StageSpan>,
     /// The model's cardinality estimate for the served plan, when the
@@ -213,8 +203,8 @@ impl Default for TraceConfig {
 }
 
 /// The per-service trace sink: per-stage histograms plus a bounded ring
-/// buffer of complete request traces. Shared between client threads and
-/// workers; all methods are thread-safe.
+/// buffer of complete request traces. Shared by every calling thread; all
+/// methods are thread-safe.
 pub struct Tracer {
     clock: Arc<dyn Clock>,
     next_id: AtomicU64,
@@ -237,27 +227,15 @@ impl Tracer {
         }
     }
 
-    /// Current clock offset.
-    pub fn now(&self) -> Duration {
-        self.clock.now()
-    }
-
-    /// A handle to the tracer's clock (for stamping spans off-thread).
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.clock)
-    }
-
     /// Opens a trace for one accepted request, stamping the admission-time
-    /// breaker state and queue depth.
-    pub fn begin(&self, breaker: BreakerState, queue_depth: usize) -> TraceBuilder {
+    /// breaker state and misses in flight.
+    pub fn begin(&self, breaker: BreakerState, in_flight: usize) -> TraceBuilder {
         TraceBuilder {
-            clock: Arc::clone(&self.clock),
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             accepted_at: self.clock.now(),
             breaker,
-            queue_depth,
-            queued_at: None,
-            spans: Vec::new(),
+            in_flight,
+            recorder: StageRecorder::new(Arc::clone(&self.clock)),
             est_card: None,
         }
     }
@@ -317,47 +295,23 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// An in-flight request trace. Created by [`Tracer::begin`] on the client
-/// thread; for queued requests it travels inside the job to the worker,
-/// which appends the planning-stage spans and completes it.
+/// An in-flight request trace, created by [`Tracer::begin`] on the calling
+/// thread. Every stage of the request, planning included, records into its
+/// [`TraceBuilder::recorder`].
 #[derive(Debug)]
 pub struct TraceBuilder {
-    clock: Arc<dyn Clock>,
     id: u64,
     accepted_at: Duration,
     breaker: BreakerState,
-    queue_depth: usize,
-    queued_at: Option<Duration>,
-    spans: Vec<StageSpan>,
+    in_flight: usize,
+    recorder: StageRecorder,
     est_card: Option<f64>,
 }
 
 impl TraceBuilder {
-    /// Runs `f` as one `stage` span.
-    pub fn timed<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        let start = self.clock.now();
-        let out = f();
-        let end = self.clock.now();
-        self.spans.push(StageSpan { stage, start, end });
-        out
-    }
-
-    /// Marks the request as entering the queue; [`TraceBuilder::close_queue`]
-    /// later turns the pair into a [`Stage::Queue`] span.
-    pub fn mark_queued(&mut self) {
-        self.queued_at = Some(self.clock.now());
-    }
-
-    /// Closes the queue span opened by [`TraceBuilder::mark_queued`] at
-    /// `dequeued_at`. No-op if the request never queued.
-    pub fn close_queue(&mut self, dequeued_at: Duration) {
-        if let Some(queued_at) = self.queued_at.take() {
-            self.spans.push(StageSpan {
-                stage: Stage::Queue,
-                start: queued_at,
-                end: dequeued_at.max(queued_at),
-            });
-        }
+    /// The request's span collector.
+    pub fn recorder(&mut self) -> &mut StageRecorder {
+        &mut self.recorder
     }
 
     /// Records the model's cardinality estimate for the served plan.
@@ -365,36 +319,25 @@ impl TraceBuilder {
         self.est_card = Some(est_card);
     }
 
-    /// Appends pre-measured spans (the worker's planning-stage spans).
-    pub fn extend(&mut self, spans: &[StageSpan]) {
-        self.spans.extend_from_slice(spans);
-    }
-
     /// Completes the trace into `tracer` with its final outcome.
-    pub fn finish(mut self, tracer: &Tracer, outcome: TraceOutcome) {
-        // A trace abandoned mid-queue (shed after mark_queued) still closes
-        // its span so the invariant "every complete trace is monotonic"
-        // holds on every path.
-        let now = self.clock.now();
-        self.close_queue(now);
+    pub fn finish(self, tracer: &Tracer, outcome: TraceOutcome) {
         tracer.complete(RequestTrace {
             id: self.id,
             accepted_at: self.accepted_at,
-            completed_at: now,
+            completed_at: tracer.clock.now(),
             outcome,
             breaker: self.breaker,
-            queue_depth: self.queue_depth,
-            spans: self.spans,
+            in_flight: self.in_flight,
+            spans: self.recorder.spans,
             est_card: self.est_card,
         });
     }
 }
 
-/// A span collector for a worker's planning stages
-/// ([`crate::batch::plan_traced`], retry backoff, fallback calls), handed to
-/// the request's trace when planning ends. When disabled it performs no
-/// clock reads and keeps no spans, so the untraced planning path pays
-/// nothing.
+/// A span collector for a request's stages (fingerprint, cache probe,
+/// [`crate::batch::plan_traced`]'s planning stages, retry backoff,
+/// fallback calls). When disabled it performs no clock reads and keeps no
+/// spans, so the untraced planning path pays nothing.
 #[derive(Debug)]
 pub struct StageRecorder {
     clock: Option<Arc<dyn Clock>>,
@@ -420,17 +363,14 @@ impl StageRecorder {
 
     /// Runs `f`, recording it as one `stage` span when enabled.
     pub fn timed<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        match &self.clock {
-            Some(clock) => {
-                let clock = Arc::clone(clock);
-                let start = clock.now();
-                let out = f();
-                let end = clock.now();
-                self.spans.push(StageSpan { stage, start, end });
-                out
-            }
-            None => f(),
-        }
+        let Some(clock) = &self.clock else {
+            return f();
+        };
+        let start = clock.now();
+        let out = f();
+        let end = clock.now();
+        self.spans.push(StageSpan { stage, start, end });
+        out
     }
 
     /// The collected spans, in recording order.
@@ -457,18 +397,16 @@ mod tests {
     fn spans_aggregate_per_stage_and_land_in_the_ring() {
         let (tracer, clock) = manual_tracer(8);
         let mut tb = tracer.begin(BreakerState::Closed, 3);
-        tb.timed(Stage::Fingerprint, || {
+        let rec = tb.recorder();
+        rec.timed(Stage::Fingerprint, || {
             clock.advance(Duration::from_nanos(100))
         });
-        tb.timed(Stage::CacheLookup, || {
+        rec.timed(Stage::CacheLookup, || {
             clock.advance(Duration::from_nanos(50))
         });
-        tb.mark_queued();
-        clock.advance(Duration::from_nanos(200));
-        tb.close_queue(clock.now());
         // Two Featurize spans fold into one histogram sample.
-        tb.timed(Stage::Featurize, || clock.advance(Duration::from_nanos(30)));
-        tb.timed(Stage::Featurize, || clock.advance(Duration::from_nanos(20)));
+        rec.timed(Stage::Featurize, || clock.advance(Duration::from_nanos(30)));
+        rec.timed(Stage::Featurize, || clock.advance(Duration::from_nanos(20)));
         tb.finish(&tracer, TraceOutcome::Served(PlanSource::Model));
 
         assert_eq!(tracer.completed(), 1);
@@ -476,18 +414,17 @@ mod tests {
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.id, 0);
-        assert_eq!(t.queue_depth, 3);
+        assert_eq!(t.in_flight, 3);
         assert_eq!(t.outcome, TraceOutcome::Served(PlanSource::Model));
         assert!(t.is_monotonic(), "{t:?}");
         assert_eq!(t.stage_total(Stage::Fingerprint), Duration::from_nanos(100));
-        assert_eq!(t.stage_total(Stage::Queue), Duration::from_nanos(200));
         assert_eq!(t.stage_total(Stage::Featurize), Duration::from_nanos(50));
 
         let hists = tracer.stage_histograms();
         assert_eq!(hists[Stage::Featurize.index()].count, 1);
         assert_eq!(hists[Stage::Featurize.index()].total_nanos, 50);
         assert_eq!(hists[Stage::Featurize.index()].max_nanos, 50);
-        assert_eq!(hists[Stage::Queue.index()].count, 1);
+        assert_eq!(hists[Stage::CacheLookup.index()].count, 1);
         assert_eq!(hists[Stage::Fallback.index()].count, 0);
     }
 
@@ -525,18 +462,5 @@ mod tests {
         assert_eq!(span.start, Duration::from_nanos(10));
         assert_eq!(span.end, Duration::from_nanos(17));
         assert_eq!(span.duration(), Duration::from_nanos(7));
-    }
-
-    #[test]
-    fn finish_closes_a_dangling_queue_span() {
-        let (tracer, clock) = manual_tracer(4);
-        let mut tb = tracer.begin(BreakerState::Open, 1);
-        tb.mark_queued();
-        clock.advance(Duration::from_nanos(90));
-        tb.finish(&tracer, TraceOutcome::Shed);
-        let t = &tracer.recent()[0];
-        assert_eq!(t.stage_total(Stage::Queue), Duration::from_nanos(90));
-        assert!(t.is_monotonic());
-        assert_eq!(t.breaker, BreakerState::Open);
     }
 }

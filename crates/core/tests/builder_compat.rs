@@ -1,10 +1,9 @@
 //! Surface tests for the 0.2 client API: the builder is the only way to
 //! start a service (the deprecated `start*` shims are gone), and every
-//! planning mode — the single-threaded facade and the worker-pool service —
+//! planning mode — the single-threaded facade and the concurrent service —
 //! speaks the unified [`PlanClient`] request/response vocabulary.
 
 use mtmlf::prelude::*;
-use mtmlf::serve::ServiceConfig;
 use mtmlf_datagen::{generate_queries, imdb::ImdbScale, imdb_lite, WorkloadConfig};
 use mtmlf_storage::Database;
 use std::sync::Arc;
@@ -39,10 +38,6 @@ fn setup(max_query_tables: usize) -> (Arc<MtmlfQo>, Arc<Database>, Vec<Query>) {
 fn builder_starts_a_service_that_matches_the_facade() {
     let (model, _db, queries) = setup(8);
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
         .start()
         .expect("builder starts");
     for query in &queries {
@@ -66,10 +61,6 @@ fn builder_starts_a_service_that_matches_the_facade() {
 fn facade_and_service_agree_through_the_plan_client_trait() {
     let (model, _db, queries) = setup(8);
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
         .start()
         .expect("builder starts");
     let modes: [(&str, &dyn PlanClient); 2] = [("facade", &*model), ("service", &service)];
@@ -97,10 +88,6 @@ fn facade_and_service_agree_through_the_plan_client_trait() {
 fn plan_batch_answers_every_request_in_order() {
     let (model, _db, queries) = setup(8);
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
         .start()
         .expect("builder starts");
     // Duplicate the workload so the batch contains repeats (cache collapse).
@@ -126,10 +113,6 @@ fn plan_batch_answers_every_request_in_order() {
 fn requests_carry_deadline_and_trace_preferences() {
     let (model, _db, queries) = setup(8);
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
         .tracing(TraceConfig::default())
         .start()
         .expect("builder starts");

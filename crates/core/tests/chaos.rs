@@ -6,7 +6,7 @@
 //! exactly one result** — a cached, modeled, or fallback plan, or a typed
 //! error — with no hung client, no lost reply, and no poisoned lock, under
 //! every fault the harness can express (forward errors, latency spikes,
-//! worker panics).
+//! panicking forwards).
 //!
 //! Fault schedules are seeded or scripted ([`mtmlf::resilience::FaultPlan`]
 //! is keyed by the global forward counter), so every run replays the same
@@ -65,7 +65,6 @@ fn seeded_error_storm_every_client_gets_one_answer() {
     let service = Arc::new(
         PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 2,
                 cache_capacity: 0, // keep the model path hot for the storm
                 ..ServiceConfig::default()
             })
@@ -103,23 +102,48 @@ fn seeded_error_storm_every_client_gets_one_answer() {
     assert_identity(&m);
 }
 
-/// An injected latency spike makes the victim miss its deadline; it gets a
-/// clean [`MtmlfError::Timeout`] and the service keeps serving afterwards.
+/// An injected latency spike makes the victim overrun its deadline. The
+/// forward cannot be interrupted, so the victim gets a clean
+/// [`MtmlfError::Timeout`] once the forward ends, not at the deadline; its
+/// plan is still cached, and the service keeps serving afterwards.
 #[test]
 fn latency_spike_times_out_cleanly() {
     let (model, _db, queries) = setup();
-    let service = PlannerService::builder(model)
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
-        .faults(FaultPlan::new().delay_on(0, Duration::from_millis(120)))
+    let spike = Duration::from_millis(120);
+    let service = PlannerService::builder(Arc::clone(&model))
+        .faults(FaultPlan::new().delay_on(0, spike))
         .start()
         .expect("start service");
 
+    let sent = std::time::Instant::now();
     let victim =
         service.plan(PlanRequest::new(queries[0].clone()).with_deadline(Duration::from_millis(10)));
     assert!(matches!(victim, Err(MtmlfError::Timeout)), "{victim:?}");
+    assert!(
+        sent.elapsed() >= spike,
+        "the overrun is reported when the forward ends, after {:?}",
+        sent.elapsed()
+    );
+
+    let m = service.metrics();
+    assert_eq!(m.timeouts, 1);
+    assert_eq!(m.expired, 0, "the victim was planned, not dropped");
+
+    // The overrun's model output was cached: the next request hits, with
+    // the facade's bits.
+    let again = service.plan(queries[0].clone()).expect("cached answer");
+    assert_eq!(again.source, PlanSource::Cache);
+    let (order, card, cost) = model.plan_with_estimates(&queries[0]).expect("direct");
+    assert_eq!(again.join_order, order);
+    assert_eq!(again.est_card.to_bits(), card.to_bits());
+    assert_eq!(again.est_cost.to_bits(), cost.to_bits());
+
+    // A miss already past its deadline at admission is never planned.
+    let doomed = service.plan(PlanRequest::new(queries[1].clone()).with_deadline(Duration::ZERO));
+    assert!(matches!(doomed, Err(MtmlfError::Timeout)), "{doomed:?}");
+    let m = service.metrics();
+    assert_eq!((m.timeouts, m.expired), (2, 1));
+    assert_eq!(m.batches, 1, "the expired miss ran no forward");
 
     // Later requests (forward 1+) are clean and fast.
     for query in &queries[1..] {
@@ -127,8 +151,7 @@ fn latency_spike_times_out_cleanly() {
         assert_eq!(resp.source, PlanSource::Model);
     }
     let m = service.metrics();
-    assert_eq!(m.timeouts, 1);
-    assert_eq!(m.errors, 1);
+    assert_eq!(m.errors, 2);
     assert_identity(&m);
 }
 
@@ -142,7 +165,6 @@ fn breaker_trips_and_recovers_deterministically() {
     let clock = Arc::new(ManualClock::new());
     let service = PlannerService::builder(model)
         .config(ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             retry: RetryPolicy {
                 max_retries: 0,
@@ -187,17 +209,16 @@ fn breaker_trips_and_recovers_deterministically() {
     assert_identity(&m);
 }
 
-/// With a stalled worker and a queue of one, a burst sheds with
-/// [`MtmlfError::Overloaded`] — fail-fast, no hung client — and the one
-/// admitted occupant still completes.
+/// With one stalled miss holding the only in-flight slot, a burst sheds
+/// with [`MtmlfError::Overloaded`] — fail-fast, no hung client — and the
+/// occupant still completes.
 #[test]
 fn overload_sheds_and_recovers() {
     let (model, _db, queries) = setup();
     let service = Arc::new(
         PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 1,
-                queue_capacity: 1,
+                max_in_flight: 1,
                 ..ServiceConfig::default()
             })
             .faults(FaultPlan::new().delay_on(0, Duration::from_millis(250)))
@@ -221,7 +242,7 @@ fn overload_sheds_and_recovers() {
             }
         }
     }
-    assert!(sheds >= 1, "a queue of one must shed an 8-request burst");
+    assert!(sheds >= 1, "one in-flight slot must shed a burst");
     assert!(occupant.join().expect("occupant ran").is_ok());
 
     // The stall was transient: the service still answers.
@@ -232,17 +253,13 @@ fn overload_sheds_and_recovers() {
     assert_identity(&m);
 }
 
-/// An injected worker panic costs its victim one clean `Service` error and
-/// nothing else: no poisoned model lock, no poisoned cache shard, and the
-/// surviving workers keep planning.
+/// An injected panic in a forward costs its caller one clean `Service`
+/// error and nothing else: no poisoned model lock, no poisoned cache
+/// shard, and later requests keep planning.
 #[test]
 fn worker_panic_does_not_poison_the_service() {
     let (model, _db, queries) = setup();
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
         .faults(FaultPlan::new().panic_on(0))
         .start()
         .expect("start service");
@@ -250,17 +267,17 @@ fn worker_panic_does_not_poison_the_service() {
     let victim = service.plan(queries[0].clone());
     assert!(
         matches!(victim, Err(MtmlfError::Service(_))),
-        "panic must surface as a clean dropped-reply error, got {victim:?}"
+        "panic must surface as a clean Service error, got {victim:?}"
     );
     for query in &queries[1..] {
-        let resp = service.plan(query.clone()).expect("survivor answer");
+        let resp = service.plan(query.clone()).expect("post-panic answer");
         assert_eq!(resp.source, PlanSource::Model);
         resp.join_order.validate(query).expect("legal order");
     }
     let m = service.metrics();
     assert_eq!(m.errors, 1);
     assert_identity(&m);
-    // Shutdown joins the panicked worker without propagating its panic...
+    // Shutdown does not wait on the panicked miss...
     service.shutdown();
     // ...and the shared model's autograd locks are untouched.
     for query in &queries {
@@ -272,16 +289,13 @@ fn worker_panic_does_not_poison_the_service() {
 /// request produces exactly one complete trace**: the traces counter
 /// matches the requests counter, every ring entry's stage spans are
 /// monotonically ordered inside the request window, and requests that
-/// degraded to the classical planner carry a `Fallback` span. (Worker
-/// panics are excluded by construction — a killed worker takes its
-/// in-flight traces with it, which is the documented trade.)
+/// degraded to the classical planner carry a `Fallback` span.
 #[test]
 fn every_accepted_request_yields_exactly_one_complete_trace() {
     let (model, db, queries) = setup();
     let service = Arc::new(
         PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 2,
                 cache_capacity: 0,
                 ..ServiceConfig::default()
             })
@@ -343,18 +357,18 @@ fn every_accepted_request_yields_exactly_one_complete_trace() {
     );
 }
 
-/// Shed requests trace too: with a stalled worker and a queue of one, each
-/// burst request that sheds at admission still finishes its trace — outcome
-/// `Shed`, no model-path spans — so overload is visible in the ring with
-/// the same exactly-one-trace guarantee as served traffic.
+/// Shed requests trace too: with one stalled miss holding the only
+/// in-flight slot, each burst request that sheds at admission still
+/// finishes its trace — outcome `Shed`, no model-path spans — so overload
+/// is visible in the ring with the same exactly-one-trace guarantee as
+/// served traffic.
 #[test]
 fn shed_requests_complete_their_traces() {
     let (model, _db, queries) = setup();
     let service = Arc::new(
         PlannerService::builder(model)
             .config(ServiceConfig {
-                workers: 1,
-                queue_capacity: 1,
+                max_in_flight: 1,
                 ..ServiceConfig::default()
             })
             .faults(FaultPlan::new().delay_on(0, Duration::from_millis(250)))
@@ -384,7 +398,7 @@ fn shed_requests_complete_their_traces() {
     service.shutdown();
 
     let m = service.metrics();
-    assert!(m.sheds >= 1, "a queue of one must shed an 8-request burst");
+    assert!(m.sheds >= 1, "one in-flight slot must shed a burst");
     assert_identity(&m);
     assert_eq!(m.traces, m.requests, "shed and expired requests trace too");
     let traces = service.traces();
@@ -434,7 +448,6 @@ fn swap_during_storm_no_request_is_dropped() {
             PlannerService::builder(Arc::clone(&model))
                 .model_version(mtmlf::ModelVersion(1))
                 .config(ServiceConfig {
-                    workers: 2,
                     cache_capacity: 0,
                     ..ServiceConfig::default()
                 })
@@ -510,7 +523,6 @@ fn swap_racing_shutdown_stays_clean() {
             PlannerService::builder(Arc::clone(&model))
                 .model_version(mtmlf::ModelVersion(1))
                 .config(ServiceConfig {
-                    workers: 2,
                     cache_capacity: 0,
                     ..ServiceConfig::default()
                 })
@@ -588,7 +600,6 @@ fn corrupt_candidate_never_replaces_the_live_model() {
     let service = PlannerService::builder(Arc::clone(&model))
         .model_version(ModelVersion(0))
         .config(ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             ..ServiceConfig::default()
         })

@@ -17,7 +17,6 @@ use mtmlf::cluster::{
     ClusterConfig, ClusterService, ReplicaNode, ServiceReplica, SimNet, Transport,
 };
 use mtmlf::prelude::*;
-use mtmlf::serve::ServiceConfig;
 use mtmlf_datagen::{generate_queries, imdb::ImdbScale, imdb_lite, WorkloadConfig};
 use mtmlf_query::fingerprint;
 use mtmlf_storage::Database;
@@ -51,13 +50,6 @@ fn setup() -> (Arc<MtmlfQo>, Arc<Database>, Vec<Query>) {
     (Arc::new(model), Arc::new(db), queries)
 }
 
-fn replica_config() -> ServiceConfig {
-    ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    }
-}
-
 /// Builds `n` killable replicas over one model plus the cluster routing
 /// them through `transport`.
 fn cluster_with_transport(
@@ -69,7 +61,6 @@ fn cluster_with_transport(
     let replicas: Vec<Arc<ServiceReplica>> = (0..n)
         .map(|_| {
             let service = PlannerService::builder(Arc::clone(model))
-                .config(replica_config())
                 .start()
                 .expect("replica starts");
             Arc::new(ServiceReplica::new(service))
@@ -91,7 +82,6 @@ fn cluster_matches_the_facade_bitwise() {
     let (model, _db, queries) = setup();
     let cluster = ClusterService::builder(Arc::clone(&model))
         .replicas(2)
-        .service_config(replica_config())
         .start()
         .expect("cluster starts");
     for query in &queries {

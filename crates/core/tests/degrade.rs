@@ -4,8 +4,8 @@
 //! the injectable [`mtmlf::Clock`].
 //!
 //! The chaos suite (`tests/chaos.rs`, behind the `fault-injection`
-//! feature) covers injected error storms, latency spikes, and worker
-//! panics; this file runs under a plain `cargo test`.
+//! feature) covers injected error storms, latency spikes, and panicking
+//! forwards; this file runs under a plain `cargo test`.
 
 use mtmlf::prelude::*;
 use mtmlf::resilience::ManualClock;
@@ -44,10 +44,10 @@ fn workload(db: &Database, min_tables: usize, max_tables: usize, count: usize) -
     )
 }
 
-/// A request whose deadline expires while it is queued is never forwarded
-/// through the model: the caller gets [`MtmlfError::Timeout`], the worker
-/// drops the job before the forward (visible as `metrics.expired`), and
-/// queries queued alongside it are answered bit-identically to the
+/// A request whose deadline has expired by admission is never forwarded
+/// through the model: the caller gets [`MtmlfError::Timeout`], the service
+/// drops the miss before the forward (visible as `metrics.expired`), and
+/// queries planned alongside it are answered bit-identically to the
 /// single-threaded facade.
 #[test]
 fn expired_deadline_is_dropped_before_the_forward() {
@@ -55,16 +55,12 @@ fn expired_deadline_is_dropped_before_the_forward() {
     let queries = workload(&_db, 2, 4, 4);
     let service = Arc::new(
         PlannerService::builder(Arc::clone(&model))
-            .config(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            })
             .start()
             .expect("start service"),
     );
 
-    // A zero deadline has already expired by the time any worker can look
-    // at the job, so the drop-before-forward path is deterministic.
+    // A zero deadline has already expired by the time the miss is
+    // admitted, so the drop-before-forward path is deterministic.
     let doomed = queries[0].clone();
     let mates: Vec<Query> = queries[1..].to_vec();
     let mut mate_results = Vec::new();
@@ -92,7 +88,8 @@ fn expired_deadline_is_dropped_before_the_forward() {
         }
     });
 
-    // Queue-mates are untouched by the expiry: bit-identical to the model.
+    // Concurrent misses are untouched by the expiry: bit-identical to the
+    // model.
     for (query, resp) in mates.iter().zip(&mate_results) {
         assert_eq!(resp.source, PlanSource::Model);
         let (order, card, cost) = model.plan_with_estimates(query).expect("direct");
@@ -101,7 +98,6 @@ fn expired_deadline_is_dropped_before_the_forward() {
         assert_eq!(resp.est_cost.to_bits(), cost.to_bits());
     }
 
-    // Drain the queue so the worker has definitely seen the doomed job.
     service.shutdown();
     let m = service.metrics();
     assert_eq!(m.timeouts, 1);
@@ -124,10 +120,6 @@ fn fallback_plans_are_legal_and_match_the_classical_optimizer() {
     let (model, db) = setup(3);
     let queries = workload(&db, 4, 4, 6);
     let service = PlannerService::builder(model)
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
         .fallback(FallbackPlanner::new(Arc::clone(&db)))
         .start()
         .expect("start service");
@@ -161,7 +153,6 @@ fn breaker_recovery_is_observable_through_metrics() {
     let clock = Arc::new(ManualClock::new());
     let service = PlannerService::builder(model)
         .config(ServiceConfig {
-            workers: 1,
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 cooldown: Duration::from_millis(100),

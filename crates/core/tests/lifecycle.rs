@@ -207,7 +207,6 @@ fn rollback_after_swap_restores_bitwise_identical_plans() {
     let service = PlannerService::builder(Arc::clone(&model))
         .model_version(v1)
         .config(ServiceConfig {
-            workers: 1,
             cache_capacity: 0,
             ..ServiceConfig::default()
         })
@@ -255,7 +254,7 @@ fn rollback_after_swap_restores_bitwise_identical_plans() {
 
 /// A swap keeps no copy of the model it displaces: once no batch holds
 /// it, the caller's own handle is the last one. Checked on a service that
-/// has not served a request (so no worker holds the model) and on a bare
+/// has not served a request (so no miss holds the model) and on a bare
 /// slot.
 #[test]
 fn swap_releases_the_displaced_model() {
@@ -263,10 +262,6 @@ fn swap_releases_the_displaced_model() {
     let candidate = Arc::new(build_model(&db, 54));
     let service = PlannerService::builder(Arc::clone(&model))
         .model_version(ModelVersion(1))
-        .config(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
         .start()
         .expect("start service");
     let outcome = service.swap_model(Arc::clone(&candidate), ModelVersion(2));

@@ -66,10 +66,6 @@ fn service(model: &Arc<MtmlfQo>, dir: &Path) -> PlannerService {
 
 fn service_with(model: &Arc<MtmlfQo>, config: DurableConfig) -> PlannerService {
     PlannerService::builder(Arc::clone(model))
-        .config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
         .durable_config(config)
         .start()
         .expect("service starts")
@@ -281,10 +277,6 @@ fn cluster_replicas_warm_start_from_per_replica_dirs() {
     let build = |model: &Arc<MtmlfQo>| {
         ClusterService::builder(Arc::clone(model))
             .replicas(2)
-            .service_config(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            })
             .durable_config(durable(&dir))
             .start()
             .expect("cluster starts")

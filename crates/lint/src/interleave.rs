@@ -8,9 +8,10 @@
 //! all are done).
 //!
 //! Atomicity granularity is the point: the real code's mutex-protected
-//! operations (one `LruShard` op under its shard lock; one channel
-//! send/recv) are modeled as single atomic steps, so the schedules explored
-//! here are exactly the linearizations the real locks permit.
+//! operations (one `LruShard` op under its shard lock; one slot read or
+//! swap under its `RwLock`) are modeled as single atomic steps, so the
+//! schedules explored here are exactly the linearizations the real locks
+//! permit.
 //!
 //! Four models mirror the serving path:
 //!
@@ -18,11 +19,6 @@
 //!   `mtmlf::cache::ShardedLruCache`, op for op (get with recency bump,
 //!   insert with tail eviction, slab free-list reuse), with structural
 //!   integrity and oracle-consistency invariants.
-//! * [`ServiceModel`] — `mtmlf::serve::PlannerService` submit/shutdown:
-//!   clients submit jobs to a queue, a worker drains and replies, shutdown
-//!   closes the queue then joins. Invariants: every submitted request gets
-//!   exactly one reply (no lost responses, no double-completion) and no
-//!   schedule deadlocks — including shutdown racing in-flight requests.
 //! * [`BreakerModel`] — `mtmlf::resilience::CircuitBreaker`
 //!   acquire/report transition for transition, with a clock thread ticking
 //!   the cool-down. Invariants: a probe flag only ever flies in the
@@ -404,190 +400,6 @@ impl Interleave for CacheModel {
 
     fn check_complete(&self) -> Result<(), String> {
         self.integrity()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Service model
-// ---------------------------------------------------------------------
-
-/// A reply as observed by a model client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reply {
-    /// The worker planned the request.
-    Planned,
-    /// Submission was rejected because the service had shut down.
-    Rejected,
-}
-
-/// Mirror of `PlannerService` submit/shutdown: `clients` submitter threads,
-/// one worker draining a closable queue, and one shutdown thread that
-/// closes the queue then joins the worker.
-///
-/// Thread layout: `0..clients` = clients, `clients` = worker,
-/// `clients + 1` = shutdown.
-#[derive(Debug, Clone)]
-pub struct ServiceModel {
-    queue: VecDeque<usize>,
-    closed: bool,
-    replies: Vec<Option<Reply>>,
-    client_pc: Vec<u8>, // 0 = submit, 1 = await reply, 2 = done
-    worker_done: bool,
-    shutdown_pc: u8, // 0 = close, 1 = join, 2 = done
-    // Deliberate-bug switches for checker self-tests.
-    bug_drop_queue_on_close: bool,
-    bug_double_reply: bool,
-}
-
-impl ServiceModel {
-    /// A correct model with `clients` client threads.
-    pub fn new(clients: usize) -> Self {
-        Self {
-            queue: VecDeque::new(),
-            closed: false,
-            replies: vec![None; clients],
-            client_pc: vec![0; clients],
-            worker_done: false,
-            shutdown_pc: 0,
-            bug_drop_queue_on_close: false,
-            bug_double_reply: false,
-        }
-    }
-
-    /// Buggy variant: the worker exits on close without draining the queue
-    /// (drops queued responses — must be caught as a deadlocked client).
-    pub fn with_lost_replies(clients: usize) -> Self {
-        Self {
-            bug_drop_queue_on_close: true,
-            ..Self::new(clients)
-        }
-    }
-
-    /// Buggy variant: the worker replies twice to the same request.
-    pub fn with_double_reply(clients: usize) -> Self {
-        Self {
-            bug_double_reply: true,
-            ..Self::new(clients)
-        }
-    }
-
-    fn clients(&self) -> usize {
-        self.replies.len()
-    }
-
-    fn worker_idx(&self) -> usize {
-        self.clients()
-    }
-
-    fn deliver(&mut self, req: usize, reply: Reply) -> Result<(), String> {
-        if self.replies[req].is_some() {
-            return Err(format!("double completion: request {req} replied twice"));
-        }
-        self.replies[req] = Some(reply);
-        Ok(())
-    }
-}
-
-impl Interleave for ServiceModel {
-    fn threads(&self) -> usize {
-        self.clients() + 2
-    }
-
-    fn done(&self, t: usize) -> bool {
-        if t < self.clients() {
-            self.client_pc[t] == 2
-        } else if t == self.worker_idx() {
-            self.worker_done
-        } else {
-            self.shutdown_pc == 2
-        }
-    }
-
-    fn enabled(&self, t: usize) -> bool {
-        if t < self.clients() {
-            match self.client_pc[t] {
-                0 => true,                      // submit (or observe closed)
-                1 => self.replies[t].is_some(), // blocked on reply channel
-                _ => false,
-            }
-        } else if t == self.worker_idx() {
-            // `recv` wakes on a queued job or on channel close.
-            !self.queue.is_empty() || self.closed
-        } else {
-            match self.shutdown_pc {
-                0 => true,             // close the channel
-                1 => self.worker_done, // join blocks until the worker exits
-                _ => false,
-            }
-        }
-    }
-
-    fn step(&mut self, t: usize) -> Result<(), String> {
-        if t < self.clients() {
-            match self.client_pc[t] {
-                0 => {
-                    // PlannerService::plan — send fails after shutdown and
-                    // surfaces as an error response, never a hang.
-                    if self.closed {
-                        self.deliver(t, Reply::Rejected)?;
-                    } else {
-                        self.queue.push_back(t);
-                    }
-                    self.client_pc[t] = 1;
-                }
-                1 => {
-                    // Reply observed; consume it.
-                    self.client_pc[t] = 2;
-                }
-                _ => return Err(format!("client {t} stepped after completion")),
-            }
-            Ok(())
-        } else if t == self.worker_idx() {
-            // One `recv` iteration of worker_loop.
-            if self.bug_drop_queue_on_close && self.closed {
-                self.worker_done = true; // drops whatever is still queued
-                return Ok(());
-            }
-            if let Some(req) = self.queue.pop_front() {
-                self.deliver(req, Reply::Planned)?;
-                if self.bug_double_reply {
-                    self.deliver(req, Reply::Planned)?;
-                }
-            } else if self.closed {
-                self.worker_done = true; // channel disconnected and drained
-            }
-            Ok(())
-        } else {
-            match self.shutdown_pc {
-                0 => {
-                    self.closed = true; // drop the Sender
-                    self.shutdown_pc = 1;
-                }
-                1 => {
-                    if !self.worker_done {
-                        return Err("join completed before the worker exited".to_string());
-                    }
-                    self.shutdown_pc = 2;
-                }
-                _ => return Err("shutdown stepped after completion".to_string()),
-            }
-            Ok(())
-        }
-    }
-
-    fn check_complete(&self) -> Result<(), String> {
-        for (i, r) in self.replies.iter().enumerate() {
-            if r.is_none() {
-                return Err(format!("lost response: client {i} never got a reply"));
-            }
-        }
-        if !self.queue.is_empty() {
-            return Err(format!(
-                "{} jobs left in the queue at shutdown",
-                self.queue.len()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -1073,6 +885,9 @@ impl Interleave for RouterModel {
 /// (model, version) pair, every client gets exactly one reply, and no
 /// queued request is lost to a swap.
 ///
+/// The worker stands for whichever thread plans a request (in
+/// `PlannerService`, the caller itself); the queue only orders requests.
+///
 /// Thread layout: `0..clients` = clients, `clients` = worker,
 /// `clients + 1` = swapper.
 #[derive(Debug, Clone)]
@@ -1296,16 +1111,6 @@ pub fn run_model_suite() -> Result<Vec<(&'static str, Exploration)>, (String, St
         Err(v) => return Err(("cache-3thread".to_string(), v.to_string())),
     }
 
-    match explore(&ServiceModel::new(2), 2_000_000) {
-        Ok(stats) => out.push(("service-2client", stats)),
-        Err(v) => return Err(("service-2client".to_string(), v.to_string())),
-    }
-
-    match explore(&ServiceModel::new(3), 20_000_000) {
-        Ok(stats) => out.push(("service-3client", stats)),
-        Err(v) => return Err(("service-3client".to_string(), v.to_string())),
-    }
-
     // Trip-and-recover: two clients whose first attempts fail and second
     // attempts succeed, one cool-down tick. Covers threshold trips,
     // rejection while open, the half-open probe, and reclosure.
@@ -1440,39 +1245,6 @@ mod tests {
     }
 
     #[test]
-    fn service_two_client_model_has_no_lost_or_double_replies() {
-        let stats = explore(&ServiceModel::new(2), 2_000_000).expect("no invariant failures");
-        assert!(
-            stats.schedules > 100,
-            "expected a real schedule space, got {}",
-            stats.schedules
-        );
-    }
-
-    #[test]
-    fn service_three_client_model_has_no_lost_or_double_replies() {
-        let stats = explore(&ServiceModel::new(3), 20_000_000).expect("no invariant failures");
-        assert!(stats.schedules > 1_000);
-    }
-
-    #[test]
-    fn checker_catches_lost_replies_as_deadlock() {
-        let err = explore(&ServiceModel::with_lost_replies(2), 2_000_000)
-            .expect_err("dropping the queue on close must be caught");
-        assert!(
-            err.message.contains("deadlock") || err.message.contains("lost response"),
-            "unexpected violation: {err}"
-        );
-    }
-
-    #[test]
-    fn checker_catches_double_completion() {
-        let err = explore(&ServiceModel::with_double_reply(2), 2_000_000)
-            .expect_err("double reply must be caught");
-        assert!(err.message.contains("double completion"), "{err}");
-    }
-
-    #[test]
     fn breaker_trip_recover_model_is_exhaustive_and_clean() {
         let model = BreakerModel::new(
             2,
@@ -1556,8 +1328,10 @@ mod tests {
             2_000_000,
         )
         .expect_err("swallowed in-flight failure must be caught");
+        // The client waits on a reply that never comes: the checker must
+        // report the blocked schedule as a deadlock.
         assert!(
-            err.message.contains("deadlock") || err.message.contains("lost response"),
+            err.message.contains("deadlock"),
             "unexpected violation: {err}"
         );
     }
@@ -1616,7 +1390,7 @@ mod tests {
     #[test]
     fn model_suite_runs_clean() {
         let suite = run_model_suite().expect("suite clean");
-        assert_eq!(suite.len(), 9);
+        assert_eq!(suite.len(), 7);
         for (name, stats) in suite {
             assert!(stats.schedules > 0, "{name} explored nothing");
         }

@@ -9,12 +9,8 @@ use crate::autograd::Var;
 use crate::matrix::Matrix;
 use std::io::{self, Read, Write};
 
-/// Magic + version prefix of a raw matrix payload. Public so outer formats
-/// (e.g. the checksummed envelope in `mtmlf::persist`) can recognize a bare
-/// legacy payload and route it to a compatibility path.
-pub const PAYLOAD_MAGIC: &[u8; 8] = b"MTMLFNN\x01";
-
-const MAGIC: &[u8; 8] = PAYLOAD_MAGIC;
+/// Magic + version prefix of a raw matrix payload.
+const MAGIC: &[u8; 8] = b"MTMLFNN\x01";
 
 /// Writes a set of matrices.
 pub fn write_matrices<W: Write>(mut w: W, matrices: &[Matrix]) -> io::Result<()> {

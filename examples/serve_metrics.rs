@@ -59,10 +59,6 @@ fn main() -> mtmlf::Result<()> {
         config,
     );
     let service = PlannerService::builder(Arc::new(model))
-        .config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
         .fallback(FallbackPlanner::new(Arc::new(db)))
         .tracing(TraceConfig::default())
         .start()?;

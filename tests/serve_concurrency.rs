@@ -55,7 +55,7 @@ fn concurrent_round(service: &PlannerService, queries: &[Query]) -> Vec<Vec<Plan
 }
 
 /// Every cold and warm answer matches the direct model bit for bit, no
-/// matter which worker computed it, with the plan cache on and off.
+/// matter which client thread computed it, with the plan cache on and off.
 #[test]
 fn concurrent_service_matches_direct_model_bitwise() {
     for (seed, count, cache_capacity) in [(47, 6, 1024), (48, 4, 0)] {
@@ -69,7 +69,6 @@ fn concurrent_service_matches_direct_model_bitwise() {
 
         let service = PlannerService::builder(Arc::clone(&model))
             .config(ServiceConfig {
-                workers: 2,
                 cache_capacity,
                 ..ServiceConfig::default()
             })
@@ -77,7 +76,7 @@ fn concurrent_service_matches_direct_model_bitwise() {
             .expect("service starts");
 
         // Cold pass: every answer matches the direct path bit-for-bit, no
-        // matter which worker computed it.
+        // matter which client thread computed it.
         let cold = concurrent_round(&service, &queries);
         for client in &cold {
             for (resp, (order, card, cost)) in client.iter().zip(&direct) {
@@ -140,10 +139,6 @@ fn simultaneous_misses_on_one_query_agree_bitwise() {
     let query = &queries[0];
     let (order, card, cost) = model.plan_with_estimates(query).expect("direct plan");
     let service = PlannerService::builder(Arc::clone(&model))
-        .config(ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        })
         .start()
         .expect("service starts");
     let barrier = Barrier::new(2);
