@@ -21,10 +21,11 @@
 //! autograd tape; candidates come back as plain `f32` scores.
 //!
 //! Bushy decoding ([`beam_search_bushy`]) scores every table in one
-//! position-head forward, which still runs on the tape under [`no_grad`].
+//! position-head forward ([`TransJo::infer_position_logits`]), also on
+//! plain values.
 
 use crate::transjo::{StepEntry, TransJo};
-use mtmlf_nn::{no_grad, KvCache, Matrix, Var};
+use mtmlf_nn::{KvCache, Matrix};
 use mtmlf_query::JoinGraph;
 
 /// Which candidate extensions a beam step may propose.
@@ -362,12 +363,12 @@ pub struct BushyCandidate {
 /// *block* (disjoint from previous assignments), and complete assignments
 /// decode through the tree codec. Candidates whose trees are not
 /// executable under the join graph are dropped; the caller falls back to
-/// left-deep search when none survive. The position head runs on the
-/// autograd tape, under [`no_grad`].
+/// left-deep search when none survive. The position head runs on plain
+/// values and builds no tape.
 pub fn beam_search_bushy(
     jo: &TransJo,
-    memory: &Var,
-    table_reps: &Var,
+    memory: &Matrix,
+    table_reps: &Matrix,
     graph: &JoinGraph,
     config: &BeamConfig,
 ) -> Vec<BushyCandidate> {
@@ -378,7 +379,7 @@ pub fn beam_search_bushy(
     let dim = jo.position_width();
     // Active codec width for m tables: 2^(m-1), capped by the head width.
     let active = (1usize << m.saturating_sub(1)).min(dim);
-    let logits = no_grad(|| jo.position_logits(memory, table_reps).to_matrix());
+    let logits = jo.infer_position_logits(memory, table_reps);
     // Row-wise log-softmax over the active positions.
     let mut logp = vec![vec![0.0f32; active]; m];
     for (t, row_logp) in logp.iter_mut().enumerate() {
@@ -577,12 +578,6 @@ mod tests {
         (jo, memory, table_reps)
     }
 
-    /// The bushy decoder's inputs: the position head runs on the tape.
-    fn setup_bushy(m: usize, seed: u64) -> (TransJo, Var, Var) {
-        let (jo, memory, table_reps) = setup(m, seed);
-        (jo, Var::constant(memory), Var::constant(table_reps))
-    }
-
     fn chain(m: usize) -> JoinGraph {
         let vertices = (0..m as u32).map(TableId).collect();
         let edges: Vec<(usize, usize)> = (0..m - 1).map(|i| (i, i + 1)).collect();
@@ -672,7 +667,7 @@ mod tests {
 
     #[test]
     fn bushy_candidates_are_valid_trees() {
-        let (jo, memory, table_reps) = setup_bushy(4, 23);
+        let (jo, memory, table_reps) = setup(4, 23);
         let g = clique(4);
         let out = beam_search_bushy(&jo, &memory, &table_reps, &g, &BeamConfig::new(4).bushy());
         assert!(!out.is_empty(), "clique accepts any tree shape");
@@ -690,7 +685,7 @@ mod tests {
 
     #[test]
     fn bushy_candidates_respect_chain_legality() {
-        let (jo, memory, table_reps) = setup_bushy(4, 23);
+        let (jo, memory, table_reps) = setup(4, 23);
         let g = chain(4);
         for c in beam_search_bushy(&jo, &memory, &table_reps, &g, &BeamConfig::new(8).bushy()) {
             // Every join node must connect its sides in the chain; e.g. a
@@ -714,7 +709,7 @@ mod tests {
 
     #[test]
     fn single_table_bushy() {
-        let (jo, memory, table_reps) = setup_bushy(1, 23);
+        let (jo, memory, table_reps) = setup(1, 23);
         let g = JoinGraph::from_edges(vec![TableId(0)], &[]).unwrap();
         let reps = table_reps.slice_rows(0, 1);
         let out = beam_search_bushy(&jo, &memory, &reps, &g, &BeamConfig::new(4).bushy());

@@ -10,7 +10,7 @@
 
 use mtmlf_nn::layers::{Linear, Mlp, Module};
 use mtmlf_nn::loss::q_error_log_loss;
-use mtmlf_nn::{Adam, Matrix, TransformerEncoder, Var};
+use mtmlf_nn::{Adam, Matrix, Tape, TransformerEncoder, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -41,12 +41,20 @@ impl TableEncoder {
         }
     }
 
-    /// Encodes a token matrix `(num_predicates, token_width)` into the
-    /// pooled table-distribution embedding `(1, d_model)`.
-    pub fn encode(&self, tokens: &Matrix) -> Var {
-        let x = Var::constant(tokens.clone());
-        let h = self.encoder.forward(&self.input_proj.forward(&x));
-        h.mean_rows()
+    /// Encodes a token matrix `(num_predicates, token_width)` on the tape
+    /// into the pooled table-distribution embedding `(1, d_model)`.
+    pub fn encode<'p>(&'p self, t: &mut Tape<'p>, tokens: &'p Matrix) -> Var {
+        let x = t.input(tokens);
+        let projected = self.input_proj.forward(t, x);
+        let h = self.encoder.forward(t, projected);
+        t.mean_rows(h)
+    }
+
+    /// Predicted log-cardinality for a token matrix on the tape (the
+    /// pre-training head).
+    pub fn log_card<'p>(&'p self, t: &mut Tape<'p>, tokens: &'p Matrix) -> Var {
+        let pooled = self.encode(t, tokens);
+        self.card_head.forward(t, pooled)
     }
 
     /// The embedding as a detached matrix (used by the serializer: the
@@ -59,18 +67,10 @@ impl TableEncoder {
         Matrix::full(1, rows, 1.0 / rows as f32).matmul(&h)
     }
 
-    /// Predicted log-cardinality for a token matrix (pre-training head).
-    pub fn predict_log_card(&self, tokens: &Matrix) -> Var {
-        self.card_head.forward(&self.encode(tokens))
-    }
-
     /// The detached embedding *and* the predicted log-cardinality from one
-    /// encoder forward. [`TableEncoder::embed`] followed by
-    /// [`TableEncoder::predict_log_card`] runs the transformer twice on the
-    /// same tokens; the serializer needs both outputs for every scan node,
-    /// so this shared-forward variant halves featurization encoder work.
-    /// Outputs are bitwise-identical to the two separate calls, and no
-    /// tape is built.
+    /// encoder forward: the serializer needs both for every scan node.
+    /// Bitwise-equal to [`TableEncoder::encode`] and
+    /// [`TableEncoder::log_card`], and no tape is built.
     pub fn embed_with_logcard(&self, tokens: &Matrix) -> (Matrix, f32) {
         let pooled = self.embed(tokens);
         let log_card = self.card_head.infer(&pooled).item();
@@ -78,13 +78,15 @@ impl TableEncoder {
     }
 
     /// Pre-trains the encoder on `(tokens, true_cardinality)` samples with
-    /// the Q-error surrogate. Returns the final-epoch mean loss.
+    /// the Q-error surrogate, one sample per Adam step. Returns the
+    /// final-epoch mean loss. The training buffers are dropped from the
+    /// calling thread's kernel arena when it returns.
     pub fn fit(&mut self, samples: &[(Matrix, u64)], epochs: usize, lr: f32, seed: u64) -> f32 {
         if samples.is_empty() {
             return 0.0;
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut opt = Adam::new(self.parameters(), lr);
+        let mut opt = Adam::new(&self.parameters(), lr);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut last = 0.0;
         for _ in 0..epochs {
@@ -92,15 +94,19 @@ impl TableEncoder {
             let mut total = 0.0;
             for &i in &order {
                 let (tokens, card) = &samples[i];
-                let pred = self.predict_log_card(tokens);
-                let loss = q_error_log_loss(&pred, *card as f64);
-                opt.zero_grad();
-                loss.backward();
-                opt.step();
-                total += loss.item();
+                let (loss, grads) = {
+                    let mut t = Tape::new();
+                    let pred = self.log_card(&mut t, tokens);
+                    let loss = q_error_log_loss(&mut t, pred, *card as f64);
+                    t.backward(loss);
+                    (t.item(loss), t.into_grads(&self.parameters()))
+                };
+                opt.step(self.parameters_mut(), &grads);
+                total += loss;
             }
             last = total / samples.len() as f32;
         }
+        mtmlf_nn::kernel::arena_clear();
         last
     }
 
@@ -111,12 +117,7 @@ impl TableEncoder {
 }
 
 impl Module for TableEncoder {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.input_proj.parameters();
-        p.extend(self.encoder.parameters());
-        p.extend(self.card_head.parameters());
-        p
-    }
+    mtmlf_nn::module_parameters!(input_proj, encoder, card_head);
 }
 
 #[cfg(test)]
@@ -137,9 +138,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let enc = TableEncoder::new(6, 16, 2, 1, &mut rng);
         let tokens = Matrix::concat_rows(&[&token(0, 0.0, 0.5), &token(1, 0.2, 0.8)]);
-        assert_eq!(enc.encode(&tokens).shape(), (1, 16));
-        // The tape-free embedding is the tape forward's value, bitwise.
-        assert_eq!(enc.embed(&tokens), enc.encode(&tokens).to_matrix());
+        let mut t = Tape::new();
+        let pooled = enc.encode(&mut t, &tokens);
+        let log_card = enc.card_head.forward(&mut t, pooled);
+        assert_eq!(t.shape(pooled), (1, 16));
+        // The tape-free forward is the tape forward's value, bitwise.
+        let (embedding, card) = enc.embed_with_logcard(&tokens);
+        assert_eq!(&embedding, t.value(pooled));
+        assert_eq!(card.to_bits(), t.item(log_card).to_bits());
     }
 
     #[test]
@@ -158,22 +164,17 @@ mod tests {
         let final_loss = enc.fit(&samples, 60, 2e-3, 3);
         assert!(final_loss < 0.2, "encoder should fit: loss {final_loss}");
         // Wider range must predict more rows than a narrow one.
-        let wide = enc.predict_log_card(&token(0, 0.0, 0.9)).item();
-        let narrow = enc.predict_log_card(&token(0, 0.4, 0.5)).item();
+        let wide = enc.embed_with_logcard(&token(0, 0.0, 0.9)).1;
+        let narrow = enc.embed_with_logcard(&token(0, 0.4, 0.5)).1;
         assert!(wide > narrow, "wide {wide} vs narrow {narrow}");
     }
 
     #[test]
-    fn embedding_is_detached() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let enc = TableEncoder::new(6, 16, 2, 1, &mut rng);
-        let m = enc.embed(&token(0, 0.1, 0.7));
-        // A detached matrix is plain data; wrapping it in a constant and
-        // backpropagating leaves the encoder parameters untouched.
-        let v = Var::constant(m);
-        v.sum().backward();
-        for p in enc.parameters() {
-            assert_eq!(p.grad().norm(), 0.0);
-        }
+    fn fit_leaves_no_training_buffers_pooled() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut enc = TableEncoder::new(6, 16, 2, 1, &mut rng);
+        let samples = vec![(token(1, 0.1, 0.6), 300), (token(2, 0.0, 0.2), 40)];
+        enc.fit(&samples, 2, 1e-3, 1);
+        assert_eq!(mtmlf_nn::kernel::arena_buffers(), 0);
     }
 }

@@ -17,6 +17,7 @@ use crate::encoder::TableEncoder;
 use crate::error::MtmlfError;
 use crate::Result;
 use mtmlf_datagen::single_table_queries;
+use mtmlf_nn::layers::Module;
 use mtmlf_nn::Matrix;
 use mtmlf_query::{CmpOp, FilterPredicate, LikePattern};
 use mtmlf_storage::{Column, Database, TableId, Value};
@@ -84,10 +85,10 @@ impl TokenBits {
 /// The per-database featurization module: per-table encoders plus the
 /// column metadata needed for value normalization.
 ///
-/// Cloning is cheap and *shares* the encoder parameters (they are frozen
-/// after [`FeaturizationModule::fit`]), which lets several model variants —
-/// e.g. the multi-task model and its single-task ablations — reuse one
-/// fitted featurizer.
+/// Cloning copies the encoders (they are frozen after
+/// [`FeaturizationModule::fit`]) and shares the embedding memo, which lets
+/// several model variants — e.g. the multi-task model and its single-task
+/// ablations — reuse one fitted featurizer and its memoized forwards.
 #[derive(Clone)]
 pub struct FeaturizationModule {
     db_name: String,
@@ -102,7 +103,8 @@ pub struct FeaturizationModule {
     /// Memoized encoder forwards keyed by `(table, token-bits hash)`, with
     /// exact token verification per entry. Shared across clones (encoders
     /// are frozen after [`FeaturizationModule::fit`], so entries never go
-    /// stale) and bounded by [`EMBED_CACHE_CAP`].
+    /// stale; [`FeaturizationModule::parameters_mut`] gives the module a
+    /// memo of its own) and bounded by [`EMBED_CACHE_CAP`].
     embed_cache: Arc<Mutex<EmbedCache>>,
 }
 
@@ -367,15 +369,22 @@ impl FeaturizationModule {
         Ok((embedding, log_card))
     }
 
-    /// Drops all memoized encoder forwards. Must be called after any
-    /// in-place mutation of encoder parameters — e.g. loading persisted
-    /// weights — otherwise later lookups would serve embeddings computed
-    /// from the old weights.
-    pub fn invalidate_embedding_cache(&self) {
-        self.embed_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clear();
+    /// All encoder parameters, in table order.
+    pub fn parameters(&self) -> Vec<&Matrix> {
+        self.encoders.iter().flat_map(|e| e.parameters()).collect()
+    }
+
+    /// All encoder parameters, mutably, in the order of
+    /// [`FeaturizationModule::parameters`] (weight loading). The module
+    /// leaves the memo it shares with its clones and starts an empty one,
+    /// so no embedding of the old weights survives and no clone reads one
+    /// of the new.
+    pub(crate) fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
+        self.embed_cache = Arc::new(Mutex::new(HashMap::new()));
+        self.encoders
+            .iter_mut()
+            .flat_map(|e| e.parameters_mut())
+            .collect()
     }
 
     /// Borrow a table's encoder (evaluation of encoder quality).
@@ -536,7 +545,9 @@ mod tests {
         // Reference: the historical pair of separate encoder forwards.
         let enc = f.encoder(TableId(0)).unwrap();
         let tokens = f.predicate_tokens(TableId(0), &filters);
-        let reference = (enc.embed(&tokens), enc.predict_log_card(&tokens).item());
+        let mut t = mtmlf_nn::Tape::new();
+        let log_card = enc.log_card(&mut t, &tokens);
+        let reference = (enc.embed(&tokens), t.item(log_card));
         // Cache miss, then hit: both must match the reference bitwise.
         let miss = f
             .table_embedding_with_logcard(TableId(0), &filters)
@@ -548,7 +559,7 @@ mod tests {
         assert_eq!(miss.1.to_bits(), reference.1.to_bits());
         assert_eq!(hit.0, miss.0);
         assert_eq!(hit.1.to_bits(), miss.1.to_bits());
-        // Clones share the memo (encoder parameters are frozen/shared too).
+        // Clones share the memo (and copy the frozen encoder parameters).
         let clone = f.clone();
         let via_clone = clone
             .table_embedding_with_logcard(TableId(0), &filters)
@@ -573,7 +584,7 @@ mod tests {
         let mut good = 0;
         for q in &fresh {
             let tokens = f.predicate_tokens(TableId(0), &q.filters);
-            let pred = mtmlf_nn::loss::log_pred_to_estimate(enc.predict_log_card(&tokens).item());
+            let pred = mtmlf_nn::loss::log_pred_to_estimate(enc.embed_with_logcard(&tokens).1);
             let q_err = mtmlf_optd::q_error(pred, q.cardinality as f64);
             if q_err < 12.0 {
                 good += 1;
@@ -591,7 +602,7 @@ mod tests {
         f.encoders
             .iter()
             .flat_map(|e| e.parameters())
-            .map(|p| p.value().data().iter().map(|x| x.to_bits()).collect())
+            .map(|p| p.data().iter().map(|x| x.to_bits()).collect())
             .collect()
     }
 

@@ -18,7 +18,7 @@
 use crate::beam::{beam_search, BeamCandidate};
 use crate::transjo::TransJo;
 use mtmlf_nn::loss::sequence_log_prob;
-use mtmlf_nn::{Matrix, Var};
+use mtmlf_nn::{Matrix, Tape, Var};
 use mtmlf_query::JoinGraph;
 
 /// JOEU(u, u*): shared-prefix length over sequence length, in `[0, 1]`.
@@ -32,9 +32,15 @@ pub fn joeu(u: &[usize], optimal: &[usize]) -> f64 {
 
 /// The differentiable log-probability of a full order under the decoder
 /// (sum of per-step log-softmax picks, teacher-forced).
-fn order_log_prob(jo: &TransJo, memory: &Var, table_reps: &Var, order: &[usize]) -> Var {
-    let logits = jo.teacher_forced_logits(memory, table_reps, order);
-    sequence_log_prob(&logits, order)
+fn order_log_prob<'p>(
+    jo: &'p TransJo,
+    t: &mut Tape<'p>,
+    memory: Var,
+    table_reps: Var,
+    order: &[usize],
+) -> Var {
+    let logits = jo.teacher_forced_logits(t, memory, table_reps, order);
+    sequence_log_prob(t, logits, order)
 }
 
 /// Builds the sequence-level loss `L_JO` of Eq. 3 for one query.
@@ -54,10 +60,12 @@ fn order_log_prob(jo: &TransJo, memory: &Var, table_reps: &Var, order: &[usize])
 /// illegal candidate costs `λ`, and the loss is the probability-weighted
 /// cost. Same minimizer (mass on the optimal order, none on illegal
 /// orders), bounded gradients.
-pub fn sequence_level_loss(
-    jo: &TransJo,
-    memory: &Var,
-    table_reps: &Var,
+#[allow(clippy::too_many_arguments)]
+pub fn sequence_level_loss<'p>(
+    jo: &'p TransJo,
+    t: &mut Tape<'p>,
+    memory: Var,
+    table_reps: Var,
     graph: &JoinGraph,
     optimal: &[usize],
     beam: &crate::beam::BeamConfig,
@@ -65,12 +73,13 @@ pub fn sequence_level_loss(
 ) -> Var {
     let m = optimal.len().max(1) as f32;
     // Term 1: −log p(u*), averaged per step (matching the token loss scale).
-    let loss = order_log_prob(jo, memory, table_reps, optimal).scale(-1.0 / m);
+    let log_p = order_log_prob(jo, t, memory, table_reps, optimal);
+    let loss = t.scale(log_p, -1.0 / m);
 
     let candidates: Vec<BeamCandidate> = beam_search(
         jo,
-        &memory.to_matrix(),
-        &table_reps.to_matrix(),
+        t.value(memory),
+        t.value(table_reps),
         graph,
         &beam.unconstrained().left_deep(),
     );
@@ -81,10 +90,10 @@ pub fn sequence_level_loss(
     // Expected risk over the re-normalized candidate distribution.
     let lps: Vec<Var> = candidates
         .iter()
-        .map(|c| order_log_prob(jo, memory, table_reps, &c.slots))
+        .map(|c| order_log_prob(jo, t, memory, table_reps, &c.slots))
         .collect();
-    let logits = Var::concat_cols(&lps); // (1, k)
-    let weights = logits.softmax_rows(); // re-normalized over the beam
+    let logits = t.concat_cols(&lps); // (1, k)
+    let weights = t.softmax_rows(logits); // re-normalized over the beam
     let risk: Vec<f32> = candidates
         .iter()
         .map(|c| {
@@ -95,14 +104,17 @@ pub fn sequence_level_loss(
             }
         })
         .collect();
-    let risk = Var::constant(Matrix::row_vec(risk));
-    loss.add(&weights.hadamard(&risk).sum())
+    let risk = t.constant(Matrix::row_vec(risk));
+    let weighted = t.hadamard(weights, risk);
+    let expected = t.sum(weighted);
+    t.add(loss, expected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MtmlfConfig;
+    use mtmlf_nn::layers::Module;
     use mtmlf_nn::Adam;
     use mtmlf_storage::TableId;
     use rand::rngs::StdRng;
@@ -131,60 +143,75 @@ mod tests {
         JoinGraph::from_edges(vertices, &edges).unwrap()
     }
 
+    /// One Adam step on the sequence-level loss of `optimal`.
+    #[allow(clippy::too_many_arguments)]
+    fn train_step(
+        jo: &mut TransJo,
+        opt: &mut Adam,
+        memory: &Matrix,
+        table_reps: &Matrix,
+        graph: &JoinGraph,
+        optimal: &[usize],
+        beam: &crate::beam::BeamConfig,
+        lambda: f32,
+    ) {
+        let grads = {
+            let mut t = Tape::new();
+            let (m, r) = (t.input(memory), t.input(table_reps));
+            let loss = sequence_level_loss(jo, &mut t, m, r, graph, optimal, beam, lambda);
+            t.backward(loss);
+            t.into_grads(&jo.parameters())
+        };
+        opt.step(jo.parameters_mut(), &grads);
+    }
+
     #[test]
     fn sequence_loss_trains_toward_optimal() {
         let cfg = MtmlfConfig::tiny();
-        let jo = TransJo::new(&cfg);
+        let mut jo = TransJo::new(&cfg);
         let mut rng = StdRng::seed_from_u64(13);
-        let memory = Var::constant(Matrix::xavier(7, cfg.d_model, &mut rng));
-        let table_reps = Var::constant(Matrix::xavier(4, cfg.d_model, &mut rng));
+        let memory = Matrix::xavier(7, cfg.d_model, &mut rng);
+        let table_reps = Matrix::xavier(4, cfg.d_model, &mut rng);
         let graph = chain(4);
         let optimal = [1usize, 2, 3, 0];
         graph.check_left_deep(&optimal).unwrap();
-        let mut opt = Adam::new(mtmlf_nn::layers::Module::parameters(&jo), 3e-3);
+        let mut opt = Adam::new(&jo.parameters(), 3e-3);
+        let beam = crate::beam::BeamConfig::new(4);
         for _ in 0..60 {
-            let loss = sequence_level_loss(
-                &jo,
+            train_step(
+                &mut jo,
+                &mut opt,
                 &memory,
                 &table_reps,
                 &graph,
                 &optimal,
-                &crate::beam::BeamConfig::new(4),
+                &beam,
                 2.0,
             );
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
         }
         // The constrained beam's best candidate should now be the optimal
         // order.
-        let best = beam_search(
-            &jo,
-            &memory.to_matrix(),
-            &table_reps.to_matrix(),
-            &graph,
-            &crate::beam::BeamConfig::new(4),
-        )
-        .into_iter()
-        .next()
-        .unwrap();
+        let best = beam_search(&jo, &memory, &table_reps, &graph, &beam)
+            .into_iter()
+            .next()
+            .unwrap();
         assert_eq!(best.slots, optimal.to_vec());
     }
 
     #[test]
     fn illegal_mass_shrinks_under_training() {
         let cfg = MtmlfConfig::tiny();
-        let jo = TransJo::new(&cfg);
+        let mut jo = TransJo::new(&cfg);
         let mut rng = StdRng::seed_from_u64(17);
-        let memory = Var::constant(Matrix::xavier(5, cfg.d_model, &mut rng));
-        let table_reps = Var::constant(Matrix::xavier(3, cfg.d_model, &mut rng));
+        let memory = Matrix::xavier(5, cfg.d_model, &mut rng);
+        let table_reps = Matrix::xavier(3, cfg.d_model, &mut rng);
         let graph = chain(3);
         let optimal = [0usize, 1, 2];
         let illegal_mass = |jo: &TransJo| -> f32 {
             beam_search(
                 jo,
-                &memory.to_matrix(),
-                &table_reps.to_matrix(),
+                &memory,
+                &table_reps,
                 &graph,
                 &crate::beam::BeamConfig::new(6).unconstrained(),
             )
@@ -194,20 +221,19 @@ mod tests {
             .sum()
         };
         let before = illegal_mass(&jo);
-        let mut opt = Adam::new(mtmlf_nn::layers::Module::parameters(&jo), 3e-3);
+        let mut opt = Adam::new(&jo.parameters(), 3e-3);
+        let beam = crate::beam::BeamConfig::new(6);
         for _ in 0..50 {
-            let loss = sequence_level_loss(
-                &jo,
+            train_step(
+                &mut jo,
+                &mut opt,
                 &memory,
                 &table_reps,
                 &graph,
                 &optimal,
-                &crate::beam::BeamConfig::new(6),
+                &beam,
                 4.0,
             );
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
         }
         let after = illegal_mass(&jo);
         assert!(

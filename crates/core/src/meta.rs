@@ -10,8 +10,8 @@
 //!    trains (S) and (T) on it (line 8).
 //!
 //! `transfer` then deploys on an unseen database by fitting only its
-//! featurization module and attaching the pre-trained (S)/(T) — the
-//! paper's claim being that the shuffled multi-DB training forces those
+//! featurization module and attaching copies of the pre-trained (S)/(T) —
+//! the paper's claim being that the shuffled multi-DB training forces those
 //! modules to carry *database-agnostic meta knowledge* (e.g. how to
 //! compose join distributions from single-table distributions, Eq. 2)
 //! rather than memorizing one database.
@@ -21,10 +21,13 @@ use crate::featurize::FeaturizationModule;
 use crate::model::MtmlfQo;
 use crate::shared::SharedModule;
 use crate::tasks::TaskHeads;
-use crate::train::{prepare_sample, run_training, PreparedSample};
+use crate::train::{
+    prepare_sample, run_training, st_parameters, st_parameters_mut, PreparedSample,
+};
 use crate::transjo::TransJo;
 use crate::Result;
 use mtmlf_datagen::LabeledQuery;
+use mtmlf_nn::Matrix;
 use mtmlf_storage::Database;
 
 /// The MLA driver.
@@ -67,9 +70,9 @@ impl MetaLearner {
         // Lines 7-8: shuffle across databases (run_training shuffles every
         // epoch) and train (S) + (T).
         Ok(run_training(
-            &self.shared,
-            &self.heads,
-            &self.jo,
+            &mut self.shared,
+            &mut self.heads,
+            &mut self.jo,
             &pooled,
             &self.config,
             self.config.epochs,
@@ -91,8 +94,6 @@ impl MetaLearner {
         rounds: usize,
         local_epochs: usize,
     ) -> Result<Vec<f32>> {
-        use mtmlf_nn::Matrix;
-
         // Site-local featurizers and prepared samples (computed once).
         self.featurizers.clear();
         let mut site_samples: Vec<Vec<PreparedSample>> = Vec::with_capacity(databases.len());
@@ -106,13 +107,12 @@ impl MetaLearner {
             self.featurizers.push(featurizer);
         }
 
-        let mut params = mtmlf_nn::layers::Module::parameters(&self.shared);
-        params.extend(mtmlf_nn::layers::Module::parameters(&self.heads));
-        params.extend(mtmlf_nn::layers::Module::parameters(&self.jo));
-
         let mut history = Vec::with_capacity(rounds);
         for _round in 0..rounds {
-            let snapshot: Vec<Matrix> = params.iter().map(|p| p.to_matrix()).collect();
+            let snapshot: Vec<Matrix> = st_parameters(&self.shared, &self.heads, &self.jo)
+                .into_iter()
+                .cloned()
+                .collect();
             let mut deltas: Vec<Matrix> = snapshot
                 .iter()
                 .map(|m| Matrix::zeros(m.shape().0, m.shape().1))
@@ -120,13 +120,14 @@ impl MetaLearner {
             let mut round_loss = 0.0;
             for samples in &site_samples {
                 // Local training starts from the global snapshot.
-                for (p, s) in params.iter().zip(&snapshot) {
-                    p.set_value(s.clone());
+                let params = st_parameters_mut(&mut self.shared, &mut self.heads, &mut self.jo);
+                for (p, s) in params.into_iter().zip(&snapshot) {
+                    *p = s.clone();
                 }
                 let local = run_training(
-                    &self.shared,
-                    &self.heads,
-                    &self.jo,
+                    &mut self.shared,
+                    &mut self.heads,
+                    &mut self.jo,
                     samples,
                     &self.config,
                     local_epochs,
@@ -134,14 +135,16 @@ impl MetaLearner {
                 );
                 round_loss += local.last().copied().unwrap_or(0.0);
                 // Only the parameter deltas are "transmitted".
-                for ((p, s), d) in params.iter().zip(&snapshot).zip(&mut deltas) {
-                    d.add_assign(&p.to_matrix().sub(s));
+                let params = st_parameters(&self.shared, &self.heads, &self.jo);
+                for ((p, s), d) in params.into_iter().zip(&snapshot).zip(&mut deltas) {
+                    d.add_assign(&p.sub(s));
                 }
             }
             // FedAvg: global = snapshot + mean(deltas).
             let k = site_samples.len().max(1) as f32;
-            for ((p, s), d) in params.iter().zip(&snapshot).zip(&deltas) {
-                p.set_value(s.add(&d.scale(1.0 / k)));
+            let params = st_parameters_mut(&mut self.shared, &mut self.heads, &mut self.jo);
+            for ((p, s), d) in params.into_iter().zip(&snapshot).zip(&deltas) {
+                *p = s.add(&d.scale(1.0 / k));
             }
             history.push(round_loss / k);
         }
@@ -149,9 +152,10 @@ impl MetaLearner {
     }
 
     /// Deploys on a new database: fits only its featurization module and
-    /// attaches parameter-sharing clones of the pre-trained (S)/(T). The
-    /// returned model can be used zero-shot or [`MtmlfQo::fine_tune`]d on a
-    /// small number of example queries.
+    /// attaches copies of the pre-trained (S)/(T). The returned model can be
+    /// used zero-shot or [`MtmlfQo::fine_tune`]d on a small number of
+    /// example queries; fine-tuning changes only its own copies, never the
+    /// meta-learner's modules or another transferred model.
     pub fn transfer(&self, db: &Database) -> Result<MtmlfQo> {
         let featurizer = FeaturizationModule::fit(db, &self.config)?;
         Ok(MtmlfQo::from_modules(
@@ -254,21 +258,19 @@ mod tests {
     }
 
     #[test]
-    fn transfer_shares_parameters_with_meta_learner() {
+    fn transfer_copies_parameter_values_from_meta_learner() {
         let (db1, w1) = make_db(7);
         let mut meta = MetaLearner::new(tiny_meta_config());
         meta.pretrain(&[(&db1, w1.as_slice())]).unwrap();
         let model_a = meta.transfer(&db1).unwrap();
         let (shared_a, _, _) = model_a.transferable_modules();
-        let a: f32 = mtmlf_nn::layers::Module::parameters(&shared_a)
-            .iter()
-            .map(|p| p.to_matrix().norm())
-            .sum();
-        let b: f32 = mtmlf_nn::layers::Module::parameters(&meta.shared)
-            .iter()
-            .map(|p| p.to_matrix().norm())
-            .sum();
-        assert_eq!(a, b);
+        let values = |m: &SharedModule| -> Vec<Matrix> {
+            mtmlf_nn::layers::Module::parameters(m)
+                .into_iter()
+                .cloned()
+                .collect()
+        };
+        assert!(values(&shared_a) == values(&meta.shared));
     }
 }
 
@@ -336,13 +338,13 @@ mod federated_tests {
         let mut meta = MetaLearner::new(tiny_config());
         let before: f32 = mtmlf_nn::layers::Module::parameters(&meta.shared)
             .iter()
-            .map(|p| p.to_matrix().norm())
+            .map(|p| p.norm())
             .sum();
         meta.pretrain_federated(&[(&db1, w1.as_slice())], 1, 1)
             .unwrap();
         let after: f32 = mtmlf_nn::layers::Module::parameters(&meta.shared)
             .iter()
-            .map(|p| p.to_matrix().norm())
+            .map(|p| p.norm())
             .sum();
         assert_ne!(before, after, "federated round must update parameters");
     }

@@ -640,8 +640,11 @@ mod tests {
     fn prometheus_rendering_matches_the_golden_snapshot() {
         let rendered = render_prometheus(&fixture());
         if std::env::var_os("MTMLF_UPDATE_GOLDEN").is_some() {
-            std::fs::write("crates/core/testdata/prometheus_golden.txt", &rendered)
-                .expect("write golden");
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/testdata/prometheus_golden.txt"
+            );
+            std::fs::write(path, &rendered).expect("write golden");
         }
         let golden = include_str!("../testdata/prometheus_golden.txt");
         assert_eq!(
@@ -735,11 +738,11 @@ mod tests {
     fn cluster_prometheus_rendering_matches_the_golden_snapshot() {
         let rendered = render_prometheus_cluster(&cluster_fixture());
         if std::env::var_os("MTMLF_UPDATE_GOLDEN").is_some() {
-            std::fs::write(
-                "crates/core/testdata/prometheus_cluster_golden.txt",
-                &rendered,
-            )
-            .expect("write golden");
+            let path = concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/testdata/prometheus_cluster_golden.txt"
+            );
+            std::fs::write(path, &rendered).expect("write golden");
         }
         let golden = include_str!("../testdata/prometheus_cluster_golden.txt");
         assert_eq!(

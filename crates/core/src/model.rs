@@ -11,7 +11,6 @@ use crate::train::{prepare_sample, run_training};
 use crate::transjo::TransJo;
 use crate::Result;
 use mtmlf_datagen::LabeledQuery;
-use mtmlf_nn::Var;
 use mtmlf_query::{JoinOrder, PlanNode, Query};
 use mtmlf_storage::Database;
 
@@ -78,8 +77,8 @@ impl MtmlfQo {
         Ok(())
     }
 
-    /// Parameter-sharing clones of the transferable modules `(S, T)` —
-    /// what the cloud provider ships to users in the paper's workflow.
+    /// Copies of the transferable modules `(S, T)` — what the cloud
+    /// provider ships to users in the paper's workflow.
     pub fn transferable_modules(&self) -> (SharedModule, TaskHeads, TransJo) {
         (self.shared.clone(), self.heads.clone(), self.jo.clone())
     }
@@ -92,9 +91,9 @@ impl MtmlfQo {
             .map(|l| prepare_sample(&self.featurization, l, &self.config))
             .collect::<Result<Vec<_>>>()?;
         Ok(run_training(
-            &self.shared,
-            &self.heads,
-            &self.jo,
+            &mut self.shared,
+            &mut self.heads,
+            &mut self.jo,
             &samples,
             &self.config,
             self.config.epochs,
@@ -125,9 +124,9 @@ impl MtmlfQo {
             })
             .collect::<Result<Vec<_>>>()?;
         let h1 = run_training(
-            &self.shared,
-            &self.heads,
-            &self.jo,
+            &mut self.shared,
+            &mut self.heads,
+            &mut self.jo,
             &phase1,
             &self.config,
             phase1_epochs,
@@ -145,9 +144,9 @@ impl MtmlfQo {
             .map(|l| prepare_sample(&self.featurization, l, &self.config))
             .collect::<Result<Vec<_>>>()?;
         Ok(run_training(
-            &self.shared,
-            &self.heads,
-            &self.jo,
+            &mut self.shared,
+            &mut self.heads,
+            &mut self.jo,
             &samples,
             &self.config,
             epochs,
@@ -217,10 +216,10 @@ impl MtmlfQo {
     pub fn predict_bushy_join_order(&self, query: &Query, plan: &PlanNode) -> Result<JoinOrder> {
         let serialized = serialize_plan(&self.featurization, query, plan, &self.config)?;
         let s = self.shared.infer(&serialized.features);
-        let table_reps = Var::constant(s.gather_rows(&serialized.scan_node_of_slot));
+        let table_reps = s.gather_rows(&serialized.scan_node_of_slot);
         let candidates = crate::beam::beam_search_bushy(
             &self.jo,
-            &Var::constant(s),
+            &s,
             &table_reps,
             &serialized.graph,
             &self.config.beam.bushy(),
@@ -352,6 +351,29 @@ impl MtmlfQo {
     pub(crate) fn jo_module(&self) -> &TransJo {
         &self.jo
     }
+
+    /// All parameters (featurization + shared + task modules), in the
+    /// stable order weight files list them in.
+    pub fn all_parameters(&self) -> Vec<&mtmlf_nn::Matrix> {
+        let mut p = self.featurization.parameters();
+        p.extend(crate::train::st_parameters(
+            &self.shared,
+            &self.heads,
+            &self.jo,
+        ));
+        p
+    }
+
+    /// [`Self::all_parameters`], mutably (weight loading).
+    pub(crate) fn all_parameters_mut(&mut self) -> Vec<&mut mtmlf_nn::Matrix> {
+        let mut p = self.featurization.parameters_mut();
+        p.extend(crate::train::st_parameters_mut(
+            &mut self.shared,
+            &mut self.heads,
+            &mut self.jo,
+        ));
+        p
+    }
 }
 
 #[cfg(test)]
@@ -427,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn transferable_modules_share_parameters() {
+    fn transferable_modules_are_copies() {
         let (db, labeled) = setup(4);
         let mut cfg = MtmlfConfig::tiny();
         cfg.enc_queries = 10;
@@ -435,18 +457,18 @@ mod tests {
         cfg.epochs = 1;
         let mut model = MtmlfQo::new(&db, cfg.clone()).unwrap();
         let (shared, heads, jo) = model.transferable_modules();
-        // Training the model mutates the shared modules' parameters too.
-        let before: f32 = mtmlf_nn::layers::Module::parameters(&shared)
-            .iter()
-            .map(|p| p.to_matrix().norm())
-            .sum();
+        // Training the model leaves the copies as they were.
+        let values = |m: &SharedModule| -> Vec<mtmlf_nn::Matrix> {
+            mtmlf_nn::layers::Module::parameters(m)
+                .into_iter()
+                .cloned()
+                .collect()
+        };
+        let before = values(&shared);
         model.train(&labeled).unwrap();
-        let after: f32 = mtmlf_nn::layers::Module::parameters(&shared)
-            .iter()
-            .map(|p| p.to_matrix().norm())
-            .sum();
-        assert_ne!(before, after);
-        // And the clones can be attached to a new featurizer.
+        assert!(values(&shared) == before, "training moved a copy");
+        assert!(values(&model.shared) != before, "training moved nothing");
+        // And the copies can be attached to a new featurizer.
         let f2 = FeaturizationModule::untrained(&db, &cfg).unwrap();
         let model2 = MtmlfQo::from_modules(f2, shared, heads, jo, cfg);
         let l = &labeled[0];

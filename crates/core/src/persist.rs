@@ -22,43 +22,17 @@
 //! locally and loads them.
 
 use crate::envelope;
-use crate::featurize::FeaturizationModule;
 use crate::model::MtmlfQo;
 use crate::MtmlfError;
 use crate::Result;
-use mtmlf_nn::layers::Module;
 use mtmlf_nn::serialize::{load_parameters, save_parameters};
-use mtmlf_nn::Var;
 use std::fs;
 use std::path::Path;
 
 /// Magic + format version of the enveloped weight file.
 const WEIGHTS_MAGIC: &[u8; 8] = b"MTMLFQO\x01";
 
-impl FeaturizationModule {
-    /// All encoder parameters, in table order.
-    pub fn parameters(&self) -> Vec<Var> {
-        (0..self.table_count())
-            .flat_map(|t| {
-                self.encoder(mtmlf_storage::TableId(t as u32))
-                    .map(|e| e.parameters())
-                    .unwrap_or_default()
-            })
-            .collect()
-    }
-}
-
 impl MtmlfQo {
-    /// All parameters (featurization + shared + task modules), stable order.
-    pub fn all_parameters(&self) -> Vec<Var> {
-        let mut p = self.featurization().parameters();
-        let (shared, heads, jo) = self.transferable_modules();
-        p.extend(shared.parameters());
-        p.extend(heads.parameters());
-        p.extend(jo.parameters());
-        p
-    }
-
     /// Saves all weights to a file, wrapped in the checksummed envelope
     /// described in the [module docs](self).
     pub fn save_weights(&self, path: impl AsRef<Path>) -> Result<()> {
@@ -76,11 +50,7 @@ impl MtmlfQo {
     pub fn load_weights(&mut self, path: impl AsRef<Path>) -> Result<()> {
         let bytes = fs::read(path).map_err(MtmlfError::from)?;
         let payload = envelope::unseal(&bytes, WEIGHTS_MAGIC, "mtmlf weight file")?;
-        load_parameters(payload, &self.all_parameters()).map_err(MtmlfError::from)?;
-        // The encoder parameters just changed under the featurizer's memo
-        // cache; drop it so no stale embedding survives the swap.
-        self.featurization().invalidate_embedding_cache();
-        Ok(())
+        load_parameters(payload, self.all_parameters_mut()).map_err(MtmlfError::from)
     }
 }
 

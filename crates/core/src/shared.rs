@@ -6,7 +6,7 @@
 use crate::config::MtmlfConfig;
 use crate::serialize::raw_width;
 use mtmlf_nn::layers::{Linear, Module};
-use mtmlf_nn::{Matrix, TransformerEncoder, Var};
+use mtmlf_nn::{Matrix, Tape, TransformerEncoder, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,10 +37,11 @@ impl SharedModule {
     }
 
     /// Computes the shared representation `(nodes, d_model)` from raw node
-    /// features.
-    pub fn forward(&self, features: &Matrix) -> Var {
-        let x = Var::constant(features.clone());
-        self.trans_share.forward(&self.input_proj.forward(&x))
+    /// features on the tape.
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, features: &'p Matrix) -> Var {
+        let x = t.input(features);
+        let projected = self.input_proj.forward(t, x);
+        self.trans_share.forward(t, projected)
     }
 
     /// Inference forward of one plan's raw features: the shared
@@ -53,11 +54,7 @@ impl SharedModule {
 }
 
 impl Module for SharedModule {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.input_proj.parameters();
-        p.extend(self.trans_share.parameters());
-        p
-    }
+    mtmlf_nn::module_parameters!(input_proj, trans_share);
 }
 
 #[cfg(test)]
@@ -65,33 +62,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn forward_shape() {
+    fn forward_shape_and_infer_match() {
         let cfg = MtmlfConfig::tiny();
         let module = SharedModule::new(&cfg);
-        let features = Matrix::zeros(7, raw_width(&cfg));
-        assert_eq!(module.forward(&features).shape(), (7, cfg.d_model));
-    }
-
-    #[test]
-    fn infer_matches_forward() {
-        let cfg = MtmlfConfig::tiny();
-        let module = SharedModule::new(&cfg);
-        let b = Matrix::full(5, raw_width(&cfg), -0.1);
-        assert_eq!(module.infer(&b), module.forward(&b).to_matrix());
-    }
-
-    #[test]
-    fn clone_shares_parameters() {
-        let cfg = MtmlfConfig::tiny();
-        let a = SharedModule::new(&cfg);
-        let b = a.clone();
-        let features = Matrix::full(2, raw_width(&cfg), 0.1);
-        let loss = a.forward(&features).sum();
-        loss.backward();
-        // The clone's parameters see the same gradients (same nodes).
-        let ga: f32 = a.parameters().iter().map(|p| p.grad().norm()).sum();
-        let gb: f32 = b.parameters().iter().map(|p| p.grad().norm()).sum();
-        assert!(ga > 0.0);
-        assert_eq!(ga, gb);
+        let features = Matrix::full(7, raw_width(&cfg), -0.1);
+        let mut t = Tape::new();
+        let s = module.forward(&mut t, &features);
+        assert_eq!(t.shape(s), (7, cfg.d_model));
+        assert_eq!(&module.infer(&features), t.value(s));
     }
 }

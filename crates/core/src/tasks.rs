@@ -3,7 +3,7 @@
 use crate::config::MtmlfConfig;
 use mtmlf_nn::layers::{Mlp, Module};
 use mtmlf_nn::loss::log_pred_to_estimate;
-use mtmlf_nn::{Matrix, Var};
+use mtmlf_nn::{Matrix, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,21 +29,21 @@ impl TaskHeads {
     }
 
     /// Per-node log-cardinality predictions `(nodes, 1)`.
-    pub fn card(&self, shared: &Var) -> Var {
-        self.card.forward(shared)
+    pub fn card<'p>(&'p self, t: &mut Tape<'p>, shared: Var) -> Var {
+        self.card.forward(t, shared)
     }
 
     /// Per-node log-cost predictions `(nodes, 1)`.
-    pub fn cost(&self, shared: &Var) -> Var {
-        self.cost.forward(shared)
+    pub fn cost<'p>(&'p self, t: &mut Tape<'p>, shared: Var) -> Var {
+        self.cost.forward(t, shared)
     }
 
     /// Per-node access-path logits `(nodes, 1)`: positive means an index
     /// scan is predicted cheaper than a sequential scan for the node's
     /// filters (meaningful on scan nodes; the physical-design task of the
     /// paper's Section 2.2).
-    pub fn advisor(&self, shared: &Var) -> Var {
-        self.advisor.forward(shared)
+    pub fn advisor<'p>(&'p self, t: &mut Tape<'p>, shared: Var) -> Var {
+        self.advisor.forward(t, shared)
     }
 
     /// Inference [`Self::advisor`] over the given rows only. The heads are
@@ -68,12 +68,7 @@ impl TaskHeads {
 }
 
 impl Module for TaskHeads {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.card.parameters();
-        p.extend(self.cost.parameters());
-        p.extend(self.advisor.parameters());
-        p
-    }
+    mtmlf_nn::module_parameters!(card, cost, advisor);
 }
 
 #[cfg(test)]
@@ -84,16 +79,18 @@ mod tests {
     fn per_node_outputs() {
         let cfg = MtmlfConfig::tiny();
         let heads = TaskHeads::new(&cfg);
-        let s = Var::constant(Matrix::zeros(5, cfg.d_model));
-        assert_eq!(heads.card(&s).shape(), (5, 1));
-        assert_eq!(heads.cost(&s).shape(), (5, 1));
+        let mut t = Tape::new();
+        let s = t.constant(Matrix::zeros(5, cfg.d_model));
+        let (card, cost) = (heads.card(&mut t, s), heads.cost(&mut t, s));
+        assert_eq!(t.shape(card), (5, 1));
+        assert_eq!(t.shape(cost), (5, 1));
     }
 
     #[test]
     fn heads_are_independent() {
         let cfg = MtmlfConfig::tiny();
         let heads = TaskHeads::new(&cfg);
-        let s = Var::constant(Matrix::full(1, cfg.d_model, 0.3));
-        assert_ne!(heads.card(&s).item(), heads.cost(&s).item());
+        let s = Matrix::full(1, cfg.d_model, 0.3);
+        assert_ne!(heads.card.infer(&s).item(), heads.cost.infer(&s).item());
     }
 }

@@ -23,7 +23,7 @@ use crate::Result;
 use mtmlf_datagen::LabeledQuery;
 use mtmlf_nn::layers::Module;
 use mtmlf_nn::loss::{cross_entropy_rows, kl_div_rows, mse};
-use mtmlf_nn::{Adam, Matrix, Var};
+use mtmlf_nn::{Adam, Matrix, Tape, Var};
 use mtmlf_query::JoinGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -169,115 +169,154 @@ fn bushy_targets(
 }
 
 /// Gathers the table representations (slot order) from the shared output.
-pub fn table_representations(shared_out: &Var, scan_node_of_slot: &[usize]) -> Var {
+pub fn table_representations(
+    t: &mut Tape<'_>,
+    shared_out: Var,
+    scan_node_of_slot: &[usize],
+) -> Var {
     let rows: Vec<Var> = scan_node_of_slot
         .iter()
-        .map(|&i| shared_out.slice_rows(i, i + 1))
+        .map(|&i| t.slice_rows(shared_out, i, i + 1))
         .collect();
-    Var::concat_rows(&rows)
+    t.concat_rows(&rows)
 }
 
-/// The multi-task loss of one sample.
-pub fn sample_loss(
-    shared: &SharedModule,
-    heads: &TaskHeads,
-    jo: &TransJo,
-    sample: &PreparedSample,
+/// `loss + weight · term`.
+fn add_weighted(t: &mut Tape<'_>, loss: Var, term: Var, weight: f32) -> Var {
+    let term = t.scale(term, weight);
+    t.add(loss, term)
+}
+
+/// A column of per-node log labels.
+fn log_labels(t: &mut Tape<'_>, labels: impl ExactSizeIterator<Item = f32>) -> Var {
+    let rows = labels.len();
+    t.constant(Matrix::from_vec(rows, 1, labels.collect()))
+}
+
+/// The multi-task loss of one sample, recorded on `t`.
+pub fn sample_loss<'p>(
+    t: &mut Tape<'p>,
+    shared: &'p SharedModule,
+    heads: &'p TaskHeads,
+    jo: &'p TransJo,
+    sample: &'p PreparedSample,
     config: &MtmlfConfig,
 ) -> Var {
-    let s = shared.forward(&sample.features);
-    let nodes = sample.node_cards.len();
+    let s = shared.forward(t, &sample.features);
     let w = &config.weights;
-    let mut loss = Var::constant(Matrix::scalar(0.0));
+    let mut loss = t.constant(Matrix::scalar(0.0));
 
     if w.card > 0.0 {
-        let pred = heads.card(&s);
-        let target = Var::constant(Matrix::from_vec(
-            nodes,
-            1,
-            sample
-                .node_cards
-                .iter()
-                .map(|&c| (c.max(1) as f32).ln())
-                .collect(),
-        ));
-        loss = loss.add(&mse(&pred, &target).scale(w.card));
+        let pred = heads.card(t, s);
+        let cards = sample.node_cards.iter().map(|&c| (c.max(1) as f32).ln());
+        let target = log_labels(t, cards);
+        let term = mse(t, pred, target);
+        loss = add_weighted(t, loss, term, w.card);
     }
     if w.cost > 0.0 {
-        let pred = heads.cost(&s);
-        let target = Var::constant(Matrix::from_vec(
-            nodes,
-            1,
-            sample
-                .node_costs
-                .iter()
-                .map(|&c| (c.max(1.0) as f32).ln())
-                .collect(),
-        ));
-        loss = loss.add(&mse(&pred, &target).scale(w.cost));
+        let pred = heads.cost(t, s);
+        let costs = sample.node_costs.iter().map(|&c| (c.max(1.0) as f32).ln());
+        let target = log_labels(t, costs);
+        let term = mse(t, pred, target);
+        loss = add_weighted(t, loss, term, w.cost);
     }
     if w.advisor > 0.0 && !sample.advisor_targets.is_empty() {
         // Binary cross-entropy on the scan nodes' index-vs-seq labels.
-        let logits = heads.advisor(&s);
+        let logits = heads.advisor(t, s);
         let rows: Vec<Var> = sample
             .advisor_targets
             .iter()
-            .map(|&(i, _)| logits.slice_rows(i, i + 1))
+            .map(|&(i, _)| t.slice_rows(logits, i, i + 1))
             .collect();
-        let picked = Var::concat_rows(&rows);
-        let p = picked.sigmoid();
-        let targets = Var::constant(Matrix::from_vec(
-            sample.advisor_targets.len(),
+        let picked = t.concat_rows(&rows);
+        let p = t.sigmoid(picked);
+        let n = sample.advisor_targets.len();
+        let targets = t.constant(Matrix::from_vec(
+            n,
             1,
-            sample.advisor_targets.iter().map(|&(_, t)| t).collect(),
+            sample.advisor_targets.iter().map(|&(_, y)| y).collect(),
         ));
-        let one = Var::constant(Matrix::full(sample.advisor_targets.len(), 1, 1.0));
-        let bce = targets
-            .hadamard(&p.ln_eps(1e-6))
-            .add(&one.sub(&targets).hadamard(&one.sub(&p).ln_eps(1e-6)))
-            .mean()
-            .scale(-1.0);
-        loss = loss.add(&bce.scale(w.advisor));
+        let one = t.constant(Matrix::full(n, 1, 1.0));
+        // −mean(y·ln p + (1 − y)·ln(1 − p)).
+        let ln_p = t.ln_eps(p, 1e-6);
+        let hit = t.hadamard(targets, ln_p);
+        let not_y = t.sub(one, targets);
+        let not_p = t.sub(one, p);
+        let ln_not_p = t.ln_eps(not_p, 1e-6);
+        let miss = t.hadamard(not_y, ln_not_p);
+        let both = t.add(hit, miss);
+        let mean = t.mean(both);
+        let bce = t.scale(mean, -1.0);
+        loss = add_weighted(t, loss, bce, w.advisor);
     }
     if w.jo > 0.0 && config.bushy {
         if let Some(target) = &sample.target_bushy {
-            let table_reps = table_representations(&s, &sample.scan_node_of_slot);
-            let logits = jo.position_logits(&s, &table_reps);
-            loss = loss.add(&kl_div_rows(&logits, target).scale(w.jo));
+            let table_reps = table_representations(t, s, &sample.scan_node_of_slot);
+            let logits = jo.position_logits(t, s, table_reps);
+            let kl = kl_div_rows(t, logits, target);
+            loss = add_weighted(t, loss, kl, w.jo);
         }
     }
     if w.jo > 0.0 {
         if let Some(target) = &sample.target_slots {
-            let table_reps = table_representations(&s, &sample.scan_node_of_slot);
+            let table_reps = table_representations(t, s, &sample.scan_node_of_slot);
             // Token-level CE is always on; the sequence-level criterion
             // (Eq. 3) is added on top when enabled — "to further enhance
             // the effectiveness of the model training" (Section 3.2 L).
-            let logits = jo.teacher_forced_logits(&s, &table_reps, target);
-            let mut jo_loss = cross_entropy_rows(&logits, target);
+            let logits = jo.teacher_forced_logits(t, s, table_reps, target);
+            let mut jo_loss = cross_entropy_rows(t, logits, target);
             if config.sequence_loss {
                 let seq = sequence_level_loss(
                     jo,
-                    &s,
-                    &table_reps,
+                    t,
+                    s,
+                    table_reps,
                     &sample.graph,
                     target,
                     &config.beam,
                     config.lambda_illegal,
                 );
-                jo_loss = jo_loss.add(&seq);
+                jo_loss = t.add(jo_loss, seq);
             }
-            loss = loss.add(&jo_loss.scale(w.jo));
+            loss = add_weighted(t, loss, jo_loss, w.jo);
         }
     }
     loss
 }
 
+/// The (S) and (T) parameters, in a stable order: the order
+/// [`run_training`]'s optimizer keeps its moments in and weight files list
+/// them in.
+pub(crate) fn st_parameters<'a>(
+    shared: &'a SharedModule,
+    heads: &'a TaskHeads,
+    jo: &'a TransJo,
+) -> Vec<&'a Matrix> {
+    let mut p = shared.parameters();
+    p.extend(heads.parameters());
+    p.extend(jo.parameters());
+    p
+}
+
+/// [`st_parameters`], mutably.
+pub(crate) fn st_parameters_mut<'a>(
+    shared: &'a mut SharedModule,
+    heads: &'a mut TaskHeads,
+    jo: &'a mut TransJo,
+) -> Vec<&'a mut Matrix> {
+    let mut p = shared.parameters_mut();
+    p.extend(heads.parameters_mut());
+    p.extend(jo.parameters_mut());
+    p
+}
+
 /// Runs `epochs` of shuffled per-sample Adam training over the (S) and (T)
-/// parameters. Returns the mean loss of each epoch.
+/// parameters. Returns the mean loss of each epoch. The training buffers
+/// are dropped from the calling thread's kernel arena when it returns.
 pub fn run_training(
-    shared: &SharedModule,
-    heads: &TaskHeads,
-    jo: &TransJo,
+    shared: &mut SharedModule,
+    heads: &mut TaskHeads,
+    jo: &mut TransJo,
     samples: &[PreparedSample],
     config: &MtmlfConfig,
     epochs: usize,
@@ -286,10 +325,7 @@ pub fn run_training(
     if samples.is_empty() {
         return Vec::new();
     }
-    let mut params = shared.parameters();
-    params.extend(heads.parameters());
-    params.extend(jo.parameters());
-    let mut opt = Adam::new(params, lr);
+    let mut opt = Adam::new(&st_parameters(shared, heads, jo), lr);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x12A1);
     let mut order: Vec<usize> = (0..samples.len()).collect();
     let mut history = Vec::with_capacity(epochs);
@@ -299,14 +335,21 @@ pub fn run_training(
         order.shuffle(&mut rng);
         let mut total = 0.0;
         for &i in &order {
-            let loss = sample_loss(shared, heads, jo, &samples[i], config);
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
-            total += loss.item();
+            let (loss, grads) = {
+                let mut t = Tape::new();
+                let loss = sample_loss(&mut t, shared, heads, jo, &samples[i], config);
+                t.backward(loss);
+                (
+                    t.item(loss),
+                    t.into_grads(&st_parameters(shared, heads, jo)),
+                )
+            };
+            opt.step(st_parameters_mut(shared, heads, jo), &grads);
+            total += loss;
         }
         history.push(total / samples.len() as f32);
     }
+    mtmlf_nn::kernel::arena_clear();
     history
 }
 
@@ -359,6 +402,19 @@ mod tests {
         }
     }
 
+    /// [`sample_loss`]'s value on a fresh tape.
+    fn loss_of(
+        shared: &SharedModule,
+        heads: &TaskHeads,
+        jo: &TransJo,
+        sample: &PreparedSample,
+        cfg: &MtmlfConfig,
+    ) -> f32 {
+        let mut t = Tape::new();
+        let loss = sample_loss(&mut t, shared, heads, jo, sample, cfg);
+        t.item(loss)
+    }
+
     #[test]
     fn loss_is_finite_and_positive() {
         let (_, labeled, module, cfg) = setup(3);
@@ -367,23 +423,23 @@ mod tests {
         let jo = TransJo::new(&cfg);
         for l in &labeled {
             let p = prepare_sample(&module, l, &cfg).unwrap();
-            let loss = sample_loss(&shared, &heads, &jo, &p, &cfg);
-            assert!(loss.item().is_finite());
-            assert!(loss.item() > 0.0);
+            let loss = loss_of(&shared, &heads, &jo, &p, &cfg);
+            assert!(loss.is_finite());
+            assert!(loss > 0.0);
         }
     }
 
     #[test]
     fn training_reduces_loss() {
         let (_, labeled, module, cfg) = setup(8);
-        let shared = SharedModule::new(&cfg);
-        let heads = TaskHeads::new(&cfg);
-        let jo = TransJo::new(&cfg);
+        let mut shared = SharedModule::new(&cfg);
+        let mut heads = TaskHeads::new(&cfg);
+        let mut jo = TransJo::new(&cfg);
         let samples: Vec<PreparedSample> = labeled
             .iter()
             .map(|l| prepare_sample(&module, l, &cfg).unwrap())
             .collect();
-        let history = run_training(&shared, &heads, &jo, &samples, &cfg, 8, 2e-3);
+        let history = run_training(&mut shared, &mut heads, &mut jo, &samples, &cfg, 8, 2e-3);
         assert_eq!(history.len(), 8);
         assert!(
             history.last().unwrap() < &(history[0] * 0.7),
@@ -398,10 +454,10 @@ mod tests {
         let heads = TaskHeads::new(&cfg);
         let jo = TransJo::new(&cfg);
         let p = prepare_sample(&module, &labeled[0], &cfg).unwrap();
-        let full = sample_loss(&shared, &heads, &jo, &p, &cfg).item();
+        let full = loss_of(&shared, &heads, &jo, &p, &cfg);
         let mut card_cfg = cfg.clone();
         card_cfg.weights = crate::config::LossWeights::card_only();
-        let card_only = sample_loss(&shared, &heads, &jo, &p, &card_cfg).item();
+        let card_only = loss_of(&shared, &heads, &jo, &p, &card_cfg);
         assert!(card_only < full, "dropping terms lowers the total");
         assert!(card_only > 0.0);
     }
@@ -414,10 +470,16 @@ mod tests {
         let heads = TaskHeads::new(&cfg);
         let jo = TransJo::new(&cfg);
         let p = prepare_sample(&module, &labeled[0], &cfg).unwrap();
-        let loss = sample_loss(&shared, &heads, &jo, &p, &cfg);
-        assert!(loss.item().is_finite());
-        loss.backward(); // gradients flow through the sequence loss
-        let g: f32 = jo.parameters().iter().map(|v| v.grad().norm()).sum();
+        let mut t = Tape::new();
+        let loss = sample_loss(&mut t, &shared, &heads, &jo, &p, &cfg);
+        assert!(t.item(loss).is_finite());
+        t.backward(loss); // gradients flow through the sequence loss
+        let g: f32 = t
+            .into_grads(&jo.parameters())
+            .iter()
+            .flatten()
+            .map(Matrix::norm)
+            .sum();
         assert!(g > 0.0);
     }
 }

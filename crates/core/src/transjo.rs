@@ -14,7 +14,7 @@
 
 use crate::config::MtmlfConfig;
 use mtmlf_nn::layers::{Linear, Module};
-use mtmlf_nn::{KvCache, Matrix, TransformerDecoder, Var};
+use mtmlf_nn::{KvCache, Matrix, Tape, TransformerDecoder, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,13 +61,13 @@ pub struct StepEntry<'a> {
 pub struct TransJo {
     decoder: TransformerDecoder,
     /// Learned start-of-sequence token.
-    start: Var,
+    start: Matrix,
     /// Projects the chosen table's representation into the decoder input.
     input_proj: Linear,
     /// Projects table representations into pointer keys.
     pointer: Linear,
     /// Step positional embeddings (max_query_tables, d_model).
-    step_pos: Var,
+    step_pos: Matrix,
     /// Bushy mode: per-table logits over the complete-binary-tree leaf
     /// positions of the Section 4.1 codec (trained with KL divergence
     /// against the decoding embeddings).
@@ -88,14 +88,10 @@ impl TransJo {
                 config.jo_blocks,
                 &mut rng,
             ),
-            start: Var::parameter(Matrix::xavier(1, config.d_model, &mut rng)),
+            start: Matrix::xavier(1, config.d_model, &mut rng),
             input_proj: Linear::new(config.d_model, config.d_model, &mut rng),
             pointer: Linear::new(config.d_model, config.d_model, &mut rng),
-            step_pos: Var::parameter(Matrix::xavier(
-                config.max_query_tables + 1,
-                config.d_model,
-                &mut rng,
-            )),
+            step_pos: Matrix::xavier(config.max_query_tables + 1, config.d_model, &mut rng),
             position_head: Linear::new(config.d_model, positions, &mut rng),
             positions,
         }
@@ -112,18 +108,42 @@ impl TransJo {
     /// representations, so no teacher forcing is needed — and the position
     /// head maps each step's state to `P̂_t` over the codec positions.
     /// Returns `(m, positions)` logits.
-    pub fn position_logits(&self, memory: &Var, table_reps: &Var) -> Var {
-        let (m, _) = table_reps.shape();
-        let x = self
-            .input_proj
-            .forward(table_reps)
-            .add(&self.step_pos.slice_rows(0, m));
-        let decoded = self.decoder.forward(&x, memory);
-        self.position_head.forward(&decoded)
+    pub fn position_logits<'p>(&'p self, t: &mut Tape<'p>, memory: Var, table_reps: Var) -> Var {
+        let m = t.shape(table_reps).0;
+        let projected = self.input_proj.forward(t, table_reps);
+        let step_pos = t.param(&self.step_pos);
+        let positions = t.slice_rows(step_pos, 0, m);
+        let x = t.add(projected, positions);
+        let decoded = self.decoder.forward(t, x, memory);
+        self.position_head.forward(t, decoded)
     }
 
-    /// Computes step logits given a (possibly empty) prefix of chosen table
-    /// slots.
+    /// Inference [`Self::position_logits`] on plain values, bitwise-equal
+    /// to it: the decoder runs one incremental step per table
+    /// ([`TransformerDecoder::forward_step`]), whose row equals that row
+    /// of the causal full-sequence forward, and the heads are row-local.
+    pub fn infer_position_logits(&self, memory: &Matrix, table_reps: &Matrix) -> Matrix {
+        let mut x = self.input_proj.infer(table_reps);
+        for r in 0..x.rows() {
+            for (o, &p) in x.row_mut(r).iter_mut().zip(self.step_pos.row(r)) {
+                *o += p;
+            }
+        }
+        let memory_kv = self.decoder.memory_kv(memory);
+        let mut past = KvCache::default();
+        let mut decoded = Matrix::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            let (row, mut next) =
+                self.decoder
+                    .forward_step(x.slice_rows(r, r + 1), &[&past], &memory_kv);
+            decoded.row_mut(r).copy_from_slice(row.row(0));
+            past = next.pop().unwrap_or_default();
+        }
+        self.position_head.infer(&decoded)
+    }
+
+    /// Computes step logits on the tape given a (possibly empty) prefix of
+    /// chosen table slots.
     ///
     /// - `memory`: the full shared representation `(nodes, d_model)`;
     /// - `table_reps`: the `(m, d_model)` rows of the query tables' scan
@@ -133,29 +153,44 @@ impl TransJo {
     /// Returns `(prefix.len() + 1, m)` logits: row `t` is `P̂_t` (before
     /// softmax) — the distribution over which table to join at step `t`
     /// given the prefix's first `t` choices.
-    pub fn step_logits(&self, memory: &Var, table_reps: &Var, prefix: &[usize]) -> Var {
+    pub fn step_logits<'p>(
+        &'p self,
+        t: &mut Tape<'p>,
+        memory: Var,
+        table_reps: Var,
+        prefix: &[usize],
+    ) -> Var {
         let steps = prefix.len() + 1;
         // Decoder input: start token followed by the chosen tables'
         // projected representations, plus step positions.
         let mut inputs = Vec::with_capacity(steps);
-        inputs.push(self.start.clone());
+        inputs.push(t.param(&self.start));
         for &slot in prefix {
-            let rep = table_reps.slice_rows(slot, slot + 1);
-            inputs.push(self.input_proj.forward(&rep));
+            let rep = t.slice_rows(table_reps, slot, slot + 1);
+            inputs.push(self.input_proj.forward(t, rep));
         }
-        let x = Var::concat_rows(&inputs).add(&self.step_pos.slice_rows(0, steps));
-        let decoded = self.decoder.forward(&x, memory);
+        let x = t.concat_rows(&inputs);
+        let step_pos = t.param(&self.step_pos);
+        let positions = t.slice_rows(step_pos, 0, steps);
+        let x = t.add(x, positions);
+        let decoded = self.decoder.forward(t, x, memory);
         // Pointer logits: decoded (steps, d) × keys (m, d)ᵀ → (steps, m).
-        let keys = self.pointer.forward(table_reps);
-        decoded.matmul_nt(&keys)
+        let keys = self.pointer.forward(t, table_reps);
+        t.matmul_nt(decoded, keys)
     }
 
     /// Teacher-forced logits for a full target sequence: returns
     /// `(m, m)` logits where row `t` predicts `target[t]`.
-    pub fn teacher_forced_logits(&self, memory: &Var, table_reps: &Var, target: &[usize]) -> Var {
+    pub fn teacher_forced_logits<'p>(
+        &'p self,
+        t: &mut Tape<'p>,
+        memory: Var,
+        table_reps: Var,
+        target: &[usize],
+    ) -> Var {
         debug_assert!(!target.is_empty());
         let prefix = &target[..target.len() - 1];
-        self.step_logits(memory, table_reps, prefix)
+        self.step_logits(t, memory, table_reps, prefix)
     }
 
     /// Builds the per-query decode cache from the shared representation
@@ -194,9 +229,7 @@ impl TransJo {
         // element-wise sums the per-sequence concat-and-add formulation
         // produces for the prefix's last row.
         let xm = {
-            // Read guards on two distinct parameters' RwLocks.
-            let start = self.start.value(); // lint: allow(lock-cycle)
-            let pos = self.step_pos.value(); // lint: allow(lock-cycle)
+            let (start, pos) = (&self.start, &self.step_pos);
             let mut xm = Matrix::zeros(entries.len(), start.cols());
             for (r, e) in entries.iter().enumerate() {
                 debug_assert_eq!(e.past.len(), e.prefix.len());
@@ -224,15 +257,7 @@ impl TransJo {
 }
 
 impl Module for TransJo {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.decoder.parameters();
-        p.push(self.start.clone());
-        p.extend(self.input_proj.parameters());
-        p.extend(self.pointer.parameters());
-        p.push(self.step_pos.clone());
-        p.extend(self.position_head.parameters());
-        p
-    }
+    mtmlf_nn::module_parameters!(decoder, start, input_proj, pointer, step_pos, position_head);
 }
 
 #[cfg(test)]
@@ -241,28 +266,32 @@ mod tests {
     use mtmlf_nn::loss::cross_entropy_rows;
     use mtmlf_nn::Adam;
 
-    fn setup(cfg: &MtmlfConfig) -> (TransJo, Var, Var) {
+    fn setup(cfg: &MtmlfConfig) -> (TransJo, Matrix, Matrix) {
         let jo = TransJo::new(cfg);
         let mut rng = StdRng::seed_from_u64(9);
-        let memory = Var::constant(Matrix::xavier(7, cfg.d_model, &mut rng));
-        let table_reps = Var::constant(Matrix::xavier(4, cfg.d_model, &mut rng));
+        let memory = Matrix::xavier(7, cfg.d_model, &mut rng);
+        let table_reps = Matrix::xavier(4, cfg.d_model, &mut rng);
         (jo, memory, table_reps)
+    }
+
+    /// [`TransJo::step_logits`]'s value on a fresh tape.
+    fn step_logits(jo: &TransJo, memory: &Matrix, reps: &Matrix, prefix: &[usize]) -> Matrix {
+        let mut t = Tape::new();
+        let (m, r) = (t.input(memory), t.input(reps));
+        let logits = jo.step_logits(&mut t, m, r, prefix);
+        t.value(logits).clone()
     }
 
     #[test]
     fn logits_shapes() {
         let cfg = MtmlfConfig::tiny();
-        let (jo, memory, table_reps) = setup(&cfg);
-        assert_eq!(jo.step_logits(&memory, &table_reps, &[]).shape(), (1, 4));
-        assert_eq!(
-            jo.step_logits(&memory, &table_reps, &[2, 0]).shape(),
-            (3, 4)
-        );
-        assert_eq!(
-            jo.teacher_forced_logits(&memory, &table_reps, &[1, 3, 0, 2])
-                .shape(),
-            (4, 4)
-        );
+        let (jo, memory, reps) = setup(&cfg);
+        assert_eq!(step_logits(&jo, &memory, &reps, &[]).shape(), (1, 4));
+        assert_eq!(step_logits(&jo, &memory, &reps, &[2, 0]).shape(), (3, 4));
+        let mut t = Tape::new();
+        let (m, r) = (t.input(&memory), t.input(&reps));
+        let logits = jo.teacher_forced_logits(&mut t, m, r, &[1, 3, 0, 2]);
+        assert_eq!(t.shape(logits), (4, 4));
     }
 
     #[test]
@@ -270,9 +299,9 @@ mod tests {
         // Causality: logits for step t must not change when the prefix is
         // extended beyond t.
         let cfg = MtmlfConfig::tiny();
-        let (jo, memory, table_reps) = setup(&cfg);
-        let short = jo.step_logits(&memory, &table_reps, &[1]).to_matrix();
-        let long = jo.step_logits(&memory, &table_reps, &[1, 2, 3]).to_matrix();
+        let (jo, memory, reps) = setup(&cfg);
+        let short = step_logits(&jo, &memory, &reps, &[1]);
+        let long = step_logits(&jo, &memory, &reps, &[1, 2, 3]);
         for c in 0..4 {
             assert!((short.get(0, c) - long.get(0, c)).abs() < 1e-4);
             assert!((short.get(1, c) - long.get(1, c)).abs() < 1e-4);
@@ -283,23 +312,27 @@ mod tests {
     fn learns_a_fixed_order() {
         // The decoder can overfit one target order via teacher forcing.
         let cfg = MtmlfConfig::tiny();
-        let (jo, memory, table_reps) = setup(&cfg);
+        let (mut jo, memory, reps) = setup(&cfg);
         let target = [2usize, 0, 3, 1];
-        let mut opt = Adam::new(jo.parameters(), 5e-3);
+        let mut opt = Adam::new(&jo.parameters(), 5e-3);
         let mut last = f32::INFINITY;
         for _ in 0..120 {
-            let logits = jo.teacher_forced_logits(&memory, &table_reps, &target);
-            let loss = cross_entropy_rows(&logits, &target);
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
-            last = loss.item();
+            let grads = {
+                let mut t = Tape::new();
+                let (m, r) = (t.input(&memory), t.input(&reps));
+                let logits = jo.teacher_forced_logits(&mut t, m, r, &target);
+                let loss = cross_entropy_rows(&mut t, logits, &target);
+                t.backward(loss);
+                last = t.item(loss);
+                t.into_grads(&jo.parameters())
+            };
+            opt.step(jo.parameters_mut(), &grads);
         }
         assert!(last < 0.1, "final CE {last}");
         // Greedy decode reproduces the target.
         let mut prefix: Vec<usize> = Vec::new();
         for t in 0..4 {
-            let logits = jo.step_logits(&memory, &table_reps, &prefix).to_matrix();
+            let logits = step_logits(&jo, &memory, &reps, &prefix);
             let row = logits.row(t);
             let best = (0..4)
                 .filter(|s| !prefix.contains(s))
@@ -321,9 +354,9 @@ mod tests {
         let queries: [(usize, usize, &[&[usize]]); 2] =
             [(7, 4, &[&[], &[1, 3], &[2]]), (5, 3, &[&[2], &[0, 2]])];
         for (nodes, m, prefixes) in queries {
-            let memory = Var::constant(Matrix::xavier(nodes, cfg.d_model, &mut rng));
-            let reps = Var::constant(Matrix::xavier(m, cfg.d_model, &mut rng));
-            let cache = jo.decode_cache(&memory.to_matrix(), &reps.to_matrix());
+            let memory = Matrix::xavier(nodes, cfg.d_model, &mut rng);
+            let reps = Matrix::xavier(m, cfg.d_model, &mut rng);
+            let cache = jo.decode_cache(&memory, &reps);
             let mut past = vec![KvCache::default(); prefixes.len()];
             for t in 0..=2 {
                 let live: Vec<usize> = (0..prefixes.len())
@@ -340,7 +373,7 @@ mod tests {
                 assert_eq!(logits.shape(), (live.len(), m));
                 for (row, (&i, kv)) in live.iter().zip(next).enumerate() {
                     let prefix = &prefixes[i][..t];
-                    let seq = jo.step_logits(&memory, &reps, prefix).to_matrix();
+                    let seq = step_logits(&jo, &memory, &reps, prefix);
                     assert_eq!(logits.row(row), seq.row(t), "prefix {prefix:?}");
                     past[i] = kv;
                 }
@@ -350,16 +383,5 @@ mod tests {
             assert_eq!(logits.shape(), (0, m));
             assert!(next.is_empty());
         }
-    }
-
-    #[test]
-    fn clone_shares_parameters() {
-        let cfg = MtmlfConfig::tiny();
-        let (jo, memory, table_reps) = setup(&cfg);
-        let jo2 = jo.clone();
-        let loss = jo.step_logits(&memory, &table_reps, &[0]).sum();
-        loss.backward();
-        let g: f32 = jo2.parameters().iter().map(|p| p.grad().norm()).sum();
-        assert!(g > 0.0, "clone sees the original's gradients");
     }
 }

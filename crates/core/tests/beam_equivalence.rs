@@ -9,7 +9,7 @@
 //!    decoded step by step, and at every step each row of
 //!    [`TransJo::step_logits_batch`] equals row `t` of
 //!    [`TransJo::step_logits`] over the prefix's first `t` slots, computed
-//!    with gradients on, for every width × topology × legality
+//!    on the training tape, for every width × topology × legality
 //!    combination.
 //! 2. **Beam == per-sequence reference beam** — a reference beam that
 //!    decodes *every* step, the forced last one included, with
@@ -18,8 +18,9 @@
 //!    log-probabilities may differ in the last bits: the reference adds
 //!    the log-softmax of a single allowed table, `(lp + v) − v`, where the
 //!    beam adds its exact value, 0.)
-//! 3. **Bushy decode is gradient-mode independent** — the position-head
-//!    decode returns the same candidates whatever the caller's mode.
+//! 3. **Bushy decode reads the training forward's logits** — the
+//!    position-head logits the bushy decode scores are the training tape's
+//!    [`TransJo::position_logits`], bit for bit.
 //!
 //! Equality is `assert_eq!` on logit rows and candidate vectors, which
 //! compares `f32` values exactly — any reassociation or re-accumulation in
@@ -28,7 +29,7 @@
 use mtmlf::beam::{beam_search, beam_search_bushy, BeamConfig, Legality};
 use mtmlf::config::MtmlfConfig;
 use mtmlf::transjo::{StepEntry, TransJo};
-use mtmlf_nn::{grad_enabled, no_grad, KvCache, Matrix, Var};
+use mtmlf_nn::{KvCache, Matrix, Tape};
 use mtmlf_query::JoinGraph;
 use mtmlf_storage::TableId;
 use rand::rngs::StdRng;
@@ -52,13 +53,26 @@ fn graph(topology: u8, m: usize) -> JoinGraph {
 /// A decoder plus random-but-seeded encoder memory and table reps for an
 /// `m`-table query. The model is untrained — equivalence is a property of
 /// the computation, not the weights.
-fn setup(seed: u64, m: usize) -> (TransJo, Var, Var) {
+fn setup(seed: u64, m: usize) -> (TransJo, Matrix, Matrix) {
     let cfg = MtmlfConfig::tiny();
     let jo = TransJo::new(&cfg);
     let mut rng = StdRng::seed_from_u64(seed);
-    let memory = Var::constant(Matrix::xavier(2 * m - 1, cfg.d_model, &mut rng));
-    let table_reps = Var::constant(Matrix::xavier(m, cfg.d_model, &mut rng));
+    let memory = Matrix::xavier(2 * m - 1, cfg.d_model, &mut rng);
+    let table_reps = Matrix::xavier(m, cfg.d_model, &mut rng);
     (jo, memory, table_reps)
+}
+
+/// The training forward's step logits over `prefix`, on a fresh tape.
+fn training_step_logits(
+    jo: &TransJo,
+    memory: &Matrix,
+    table_reps: &Matrix,
+    prefix: &[usize],
+) -> Matrix {
+    let mut t = Tape::new();
+    let (mv, rv) = (t.input(memory), t.input(table_reps));
+    let logits = jo.step_logits(&mut t, mv, rv, prefix);
+    t.value(logits).clone()
 }
 
 /// `width` random live prefixes over `g` (duplicates allowed), each of a
@@ -96,8 +110,8 @@ fn live_prefixes(
 /// sequences and log-probabilities, best first.
 fn reference_beam(
     jo: &TransJo,
-    memory: &Var,
-    table_reps: &Var,
+    memory: &Matrix,
+    table_reps: &Matrix,
     g: &JoinGraph,
     config: &BeamConfig,
 ) -> Vec<(Vec<usize>, f32)> {
@@ -106,7 +120,7 @@ fn reference_beam(
     for t in 0..m {
         let mut next = Vec::new();
         for (prefix, lp) in &beams {
-            let logits = jo.step_logits(memory, table_reps, prefix).to_matrix();
+            let logits = training_step_logits(jo, memory, table_reps, prefix);
             let row = logits.row(t);
             let chosen = prefix.iter().fold(0u64, |b, &s| b | (1 << s));
             let allowed: Vec<usize> = (0..m)
@@ -163,13 +177,9 @@ fn packed_step_is_bitwise_training_step() {
         let mut rng = StdRng::seed_from_u64(model_seed ^ 0x5EED);
         let prefixes = live_prefixes(&mut rng, &g, width, constrained);
 
-        let cache = jo.decode_cache(&memory.to_matrix(), &table_reps.to_matrix());
+        let cache = jo.decode_cache(&memory, &table_reps);
         let mut past = vec![KvCache::default(); prefixes.len()];
         let longest = prefixes.iter().map(Vec::len).max().unwrap_or(0);
-        assert!(
-            grad_enabled(),
-            "seed {seed}: the reference must be the training forward"
-        );
         for t in 0..=longest {
             let live: Vec<usize> = (0..prefixes.len())
                 .filter(|&i| prefixes[i].len() >= t)
@@ -184,7 +194,7 @@ fn packed_step_is_bitwise_training_step() {
             let (logits, next) = jo.step_logits_batch(&cache, &entries);
             for (row, (&i, kv)) in live.iter().zip(next).enumerate() {
                 let prefix = &prefixes[i][..t];
-                let training = jo.step_logits(&memory, &table_reps, prefix).to_matrix();
+                let training = training_step_logits(&jo, &memory, &table_reps, prefix);
                 assert_eq!(
                     logits.row(row),
                     training.row(t),
@@ -210,8 +220,7 @@ fn beam_candidates_match_a_per_sequence_reference() {
         let (jo, memory, table_reps) = setup(model_seed, m);
         let g = graph(topology, m);
         let config = beam_config(width_sel, constrained);
-        let (mem, reps) = (memory.to_matrix(), table_reps.to_matrix());
-        let beam = beam_search(&jo, &mem, &reps, &g, &config);
+        let beam = beam_search(&jo, &memory, &table_reps, &g, &config);
         let reference = reference_beam(&jo, &memory, &table_reps, &g, &config);
         let mut got: Vec<&Vec<usize>> = beam.iter().map(|c| &c.slots).collect();
         let mut want: Vec<&Vec<usize>> = reference.iter().map(|(slots, _)| slots).collect();
@@ -233,23 +242,26 @@ fn beam_candidates_match_a_per_sequence_reference() {
     }
 }
 
-/// Bushy decoding returns the same candidates under either gradient
-/// mode.
+/// Bushy decoding scores the training forward's position logits: the
+/// inference forward it runs equals the tape's, bit for bit.
 #[test]
-fn bushy_decode_is_gradient_mode_independent() {
+fn bushy_decode_reads_the_training_position_logits() {
     for seed in 0..24 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (model_seed, m) = (rng.gen_range(0u64..1_000), rng.gen_range(2usize..=5));
-        let (width_sel, topology) = (rng.gen_range(0u8..4), rng.gen_range(0u8..3));
         let (jo, memory, table_reps) = setup(model_seed, m);
-        let g = graph(topology, m);
-        let config = beam_config(width_sel, true).bushy();
-
-        let with_grad = beam_search_bushy(&jo, &memory, &table_reps, &g, &config);
-        let inference = no_grad(|| beam_search_bushy(&jo, &memory, &table_reps, &g, &config));
+        let mut t = Tape::new();
+        let (mv, rv) = (t.input(&memory), t.input(&table_reps));
+        let logits = jo.position_logits(&mut t, mv, rv);
+        let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            with_grad, inference,
-            "seed {seed}: bushy no_grad != grad-enabled"
+            bits(&jo.infer_position_logits(&memory, &table_reps)),
+            bits(t.value(logits)),
+            "seed {seed}: bushy inference != training forward"
         );
+        let (width_sel, topology) = (rng.gen_range(0u8..4), rng.gen_range(0u8..3));
+        let config = beam_config(width_sel, true).bushy();
+        let out = beam_search_bushy(&jo, &memory, &table_reps, &graph(topology, m), &config);
+        assert!(out.len() <= config.width.max(1), "seed {seed}");
     }
 }

@@ -146,7 +146,7 @@ mod tests {
             v("L1", "f.rs", 1),
             v("L1", "f.rs", 2),
             v("L1", "f.rs", 3),
-            v("L3", "h.rs", 7),
+            v("L4", "h.rs", 7),
         ];
         let cmp = baseline.compare(&current);
         // f.rs grew 2 → 3: exactly one new violation; h.rs is all new.

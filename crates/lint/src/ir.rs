@@ -1,12 +1,13 @@
 //! A lightweight syntactic IR for whole-program concurrency analysis.
 //!
-//! The L1–L4 rules are single-file token matchers. The concurrency passes
-//! (G1 lock-order cycles, G2 blocking-under-guard, L5 hot-path
-//! allocations, L6 unbounded channels — see [`crate::concurrency`]) need a
-//! view of the *program*: which functions exist, who calls whom, where
-//! lock guards are acquired and how long they live, where channels are
-//! built and drained, where threads are spawned. This module extracts
-//! that view from the lexed token stream of each file.
+//! The L1, L2 and L4 rules are single-file token matchers. The
+//! concurrency passes (G1 lock-order cycles, G2 blocking-under-guard, L5
+//! hot-path allocations, L6 unbounded channels — see
+//! [`crate::concurrency`]) need a view of the *program*: which functions
+//! exist, who calls whom, where lock guards are acquired and how long they
+//! live, where channels are built and drained, where threads are spawned.
+//! This module extracts that view from the lexed token stream of each
+//! file.
 //!
 //! It is a *syntactic* IR: no types, no name resolution beyond identifier
 //! text. The approximations (documented per extraction rule below and in
@@ -25,9 +26,7 @@
 //! * **Lock identity** is the field name for `self.<field>.lock()`-style
 //!   chains and for `UPPER_STATIC.lock()` (a *global* identity shared
 //!   across files), and a `{file}::{fn}::{var}` scoped identity for bare
-//!   local receivers so unrelated locals named `m` never unify. `.value()`
-//!   guards (the autograd tape API) all map to the single global identity
-//!   `autograd-tape`.
+//!   local receivers so unrelated locals named `m` never unify.
 //! * **Guard-returning functions** (return type mentions `*Guard`) are
 //!   recognized so wrappers like `lock_unpoisoned(&self.inboxes)` count
 //!   as acquisitions of `inboxes` at the call site.
@@ -37,13 +36,10 @@
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::rules::FileScope;
 
-/// Global identity assigned to every `.value()` (autograd tape) guard.
-pub const AUTOGRAD_TAPE_LOCK: &str = "autograd-tape";
-
 /// One concurrency-relevant event inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// A lock acquisition: `.lock()` / `.read()` / `.write()` / `.value()`.
+    /// A lock acquisition: `.lock()` / `.read()` / `.write()`.
     LockAcquire {
         /// Lock identity (global field/static name or scoped local).
         lock: String,
@@ -378,7 +374,7 @@ pub fn extract(rel_path: &str, _scope: &FileScope, lexed: &Lexed, mask: &[bool])
             calls: Vec::new(),
         };
         // Closures handed to another thread (`spawn(move || …)`) or stored
-        // for later (`Box::new(|…| …)`, the autograd backward callbacks) do
+        // for later (`Box::new(|…| …)`) do
         // not run under the spawning function's guards — mask their bodies
         // so their events/calls are not attributed here. The `spawn` /
         // `Box::new` tokens themselves sit outside the range, so the Spawn
@@ -696,13 +692,9 @@ fn extract_at(
     let line = tok.line;
 
     // --- lock acquisitions -------------------------------------------
-    if prev_dot && next_noarg && matches!(tok.text.as_str(), "lock" | "read" | "write" | "value") {
+    if prev_dot && next_noarg && matches!(tok.text.as_str(), "lock" | "read" | "write") {
         let chain = receiver_chain(toks, t - 1);
-        let lock = if tok.text == "value" {
-            AUTOGRAD_TAPE_LOCK.to_string()
-        } else {
-            lock_identity(&chain, file, &f.name)
-        };
+        let lock = lock_identity(&chain, file, &f.name);
         let (mut until, bound) = guard_live_end(toks, mask, t, block_close, construct_end);
         if bound {
             // `let g = …` — honor an explicit drop(g).
@@ -1034,16 +1026,6 @@ mod tests {
             panic!()
         };
         assert_eq!(lock, "crates/core/src/x.rs::f::m");
-    }
-
-    #[test]
-    fn value_guard_maps_to_autograd_tape() {
-        let src = "fn f(n: &Var) { let v = n.value(); }";
-        let ir = ir_of("crates/nn/src/x.rs", src);
-        let EventKind::LockAcquire { ref lock, .. } = ir.fns[0].events[0].kind else {
-            panic!()
-        };
-        assert_eq!(lock, AUTOGRAD_TAPE_LOCK);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! # mtmlf-lint
 //!
-//! The workspace invariant checker. PR 1 made MTMLF-QO a concurrent
-//! service (shared `Arc`/`RwLock` autograd tape, sharded LRU plan cache,
-//! worker pool), which puts correctness on invariants the compiler cannot
-//! see. This crate machine-enforces them:
+//! The workspace invariant checker. MTMLF-QO serves as a concurrent
+//! service (sharded LRU plan cache, durable log, replicated cluster), which
+//! puts correctness on invariants the compiler cannot see. This crate
+//! machine-enforces them:
 //!
 //! * a **static-analysis pass** ([`lexer`], [`rules`]) — a hand-rolled
-//!   Rust lexer walks every `.rs` file and enforces the L1–L4 catalog
-//!   (panic-freedom, determinism, lock ordering, error-type discipline),
+//!   Rust lexer walks every `.rs` file and enforces the L1, L2 and L4
+//!   catalog (panic-freedom, determinism, error-type discipline),
 //!   ratcheted against a checked-in [`baseline`] so existing debt fails
 //!   nothing but *new* debt fails CI;
 //! * a **bounded-interleaving model checker** ([`interleave`]) — a
@@ -44,7 +44,7 @@ pub struct SourceFile {
     pub src: String,
 }
 
-/// Runs every pass (token rules L1–L4, IR extraction, concurrency passes
+/// Runs every pass (token rules L1, L2, L4, IR extraction, concurrency passes
 /// G1/G2/L5/L6) over in-memory sources. Benchmark findings (`crates/bench`,
 /// `perfbench/`) are routed to the advisory (report-only) section.
 pub fn analyze_sources(sources: &[SourceFile], rep: &mut report::Report) {
@@ -77,14 +77,6 @@ pub fn analyze_sources(sources: &[SourceFile], rep: &mut report::Report) {
                 &mut rep.advisory,
                 &mut rep.allowed,
             );
-            rules::check_l3(
-                &sf.rel,
-                &scope,
-                &lexed,
-                &mask,
-                &mut rep.advisory,
-                &mut rep.allowed,
-            );
         } else {
             rules::check_l1(
                 &sf.rel,
@@ -95,14 +87,6 @@ pub fn analyze_sources(sources: &[SourceFile], rep: &mut report::Report) {
                 &mut rep.allowed,
             );
             rules::check_l2(
-                &sf.rel,
-                &scope,
-                &lexed,
-                &mask,
-                &mut rep.violations,
-                &mut rep.allowed,
-            );
-            rules::check_l3(
                 &sf.rel,
                 &scope,
                 &lexed,

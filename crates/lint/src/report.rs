@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Rule ids reported in `rule_counts`, in render order.
-pub const ALL_RULES: &[&str] = &["L1", "L2", "L3", "L4", "G1", "G2", "L5", "L6"];
+pub const ALL_RULES: &[&str] = &["L1", "L2", "L4", "G1", "G2", "L5", "L6"];
 
 /// Everything one lint run learned, serializable to `results/LINT.json`.
 #[derive(Debug, Default)]
@@ -247,7 +247,6 @@ impl Report {
         let rule_descs: &[(&str, &str)] = &[
             ("L1", "no panic paths in library crates"),
             ("L2", "clock/randomness confinement"),
-            ("L3", "cache-lock under autograd guard"),
             ("L4", "error enums wire into MtmlfError"),
             ("G1", "global lock-acquisition graph is acyclic"),
             ("G2", "no blocking operation while a guard is live"),

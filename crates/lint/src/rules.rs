@@ -1,21 +1,20 @@
-//! The MTMLF lint catalog (L1–L4) over lexed token streams.
+//! The MTMLF lint catalog (L1, L2, L4) over lexed token streams.
 //!
 //! | rule | name         | invariant |
 //! |------|--------------|-----------|
 //! | L1   | `panic`      | no `unwrap()` / `expect()` / `panic!`-family macros in library-crate non-test code |
 //! | L2   | `clock`      | no wall-clock or OS randomness outside `serve.rs` / bench code; *strict* in `trace.rs` / `metrics.rs` / `lifecycle.rs`, where any `Instant`/`SystemTime` token is flagged — the observability and lifecycle layers read time only through the injectable `Clock` |
-//! | L3   | `lock-order` | no cache-lock acquisition while an autograd guard is held |
 //! | L4   | `error-impl` | every public error enum implements `std::error::Error` and `From`-converts (possibly transitively) into `MtmlfError` |
 //!
 //! Every rule honors the `// lint: allow(<name>)` escape hatch (same line,
 //! or a directive-only comment covering the next line); allowed hits are
 //! counted separately so debt stays visible. Test code (`#[cfg(test)]`
-//! items, `tests/`, `benches/`) is exempt from L1/L2/L3 — panics are the
+//! items, `tests/`, `benches/`) is exempt from L1/L2 — panics are the
 //! correct failure mode for a test.
 //!
 //! The matchers are token patterns with brace-depth bookkeeping, not a
-//! parser. Where that forces an approximation (L3's notion of "holds a
-//! guard") the approximation is conservative and documented inline.
+//! parser. Where that forces an approximation, the approximation is
+//! conservative and documented inline.
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use std::collections::{HashMap, HashSet};
@@ -44,7 +43,7 @@ pub const CLOCK_STRICT_FILES: &[&str] = &["trace.rs", "metrics.rs", "lifecycle.r
 /// One rule violation with a source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `L1` … `L4`.
+    /// Rule id: `L1`, `L2` or `L4`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -360,124 +359,6 @@ pub fn check_l2(
     }
 }
 
-/// L3: while a function holds a guard from `autograd.rs` (or any
-/// `RwLock`/`Mutex` guard — the approximation is conservative), it must not
-/// acquire a `cache.rs` lock. This is the one cross-module lock pair the
-/// serving layer introduced; taking them in this order can deadlock against
-/// `process_job`, which acquires cache locks first.
-///
-/// Guard acquisition is recognized as a `let` statement whose initializer
-/// calls `.value()`, `.read()` or `.write()` **with no arguments** (the
-/// autograd guard APIs; argument-taking `io::Read::read`-style calls do not
-/// match). The guard is considered live until its enclosing block closes.
-pub fn check_l3(
-    rel_path: &str,
-    scope: &FileScope,
-    lexed: &Lexed,
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-    allowed: &mut Vec<Allowed>,
-) {
-    // The lock pair lives in core (cache + serve) and nn (autograd).
-    let in_scope = matches!(scope.crate_dir.as_deref(), Some("core") | Some("nn"));
-    if !in_scope || scope.in_test_tree {
-        return;
-    }
-    let toks = &lexed.toks;
-    let mut depth: i32 = 0;
-    // Live guards: (block depth at acquisition, line).
-    let mut guards: Vec<(i32, u32)> = Vec::new();
-
-    let guard_call_at = |i: usize| -> bool {
-        // `. value ( )` / `. read ( )` / `. write ( )`
-        i > 0
-            && toks[i - 1].is_punct('.')
-            && (toks[i].is_ident("value") || toks[i].is_ident("read") || toks[i].is_ident("write"))
-            && i + 2 < toks.len()
-            && toks[i + 1].is_punct('(')
-            && toks[i + 2].is_punct(')')
-    };
-
-    let mut i = 0;
-    while i < toks.len() {
-        if mask[i] {
-            i += 1;
-            continue;
-        }
-        let t = &toks[i];
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            guards.retain(|&(d, _)| d <= depth);
-        } else if t.is_ident("let") {
-            // Scan the statement (to the `;` at this depth) for a guard call.
-            let stmt_depth = depth;
-            let mut j = i + 1;
-            let mut d = depth;
-            let mut acquires: Option<u32> = None;
-            while j < toks.len() {
-                let tj = &toks[j];
-                if tj.is_punct('{') {
-                    d += 1;
-                } else if tj.is_punct('}') {
-                    d -= 1;
-                    if d < stmt_depth {
-                        break;
-                    }
-                } else if tj.is_punct(';') && d == stmt_depth {
-                    break;
-                } else if tj.kind == TokKind::Ident && d == stmt_depth && guard_call_at(j) {
-                    // Guard calls nested inside a block expression (`let x =
-                    // { let v = n.value(); … };`) drop at that block's `}`,
-                    // so only depth-level calls bind a live guard.
-                    acquires = Some(tj.line);
-                }
-                j += 1;
-            }
-            if let Some(line) = acquires {
-                guards.push((stmt_depth, line));
-            }
-            i = j;
-            continue;
-        } else if !guards.is_empty() && t.kind == TokKind::Ident {
-            // Cache acquisition: `<…cache>.get/insert/len/is_empty(` or `.lock()`.
-            let cache_method = t.text.to_ascii_lowercase().ends_with("cache")
-                && i + 2 < toks.len()
-                && toks[i + 1].is_punct('.')
-                && matches!(
-                    toks[i + 2].text.as_str(),
-                    "get" | "insert" | "len" | "is_empty"
-                )
-                && i + 3 < toks.len()
-                && toks[i + 3].is_punct('(');
-            let lock_call = t.is_ident("lock")
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && i + 2 < toks.len()
-                && toks[i + 1].is_punct('(')
-                && toks[i + 2].is_punct(')');
-            if cache_method || lock_call {
-                let (_, gline) = guards[guards.len() - 1];
-                push(
-                    violations,
-                    allowed,
-                    lexed,
-                    ("L3", "lock-order"),
-                    rel_path,
-                    t.line,
-                    format!(
-                        "cache lock acquired while a guard taken on line {gline} is \
-                         still live; release the autograd guard first (lock-order: \
-                         cache before tape)"
-                    ),
-                );
-            }
-        }
-        i += 1;
-    }
-}
-
 /// Cross-file facts L4 needs: error enums, `Error` impls, `From` edges.
 #[derive(Debug, Default)]
 pub struct ErrorGraph {
@@ -736,58 +617,6 @@ mod tests {
         "#;
         assert!(run_l2("crates/core/src/trace.rs", src).is_empty());
         assert!(run_l2("crates/core/src/metrics.rs", src).is_empty());
-    }
-
-    fn run_l3(path: &str, src: &str) -> Vec<Violation> {
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.toks);
-        let scope = FileScope::of(path);
-        let (mut v, mut a) = (Vec::new(), Vec::new());
-        check_l3(path, &scope, &lexed, &mask, &mut v, &mut a);
-        v
-    }
-
-    #[test]
-    fn l3_flags_cache_acquisition_under_live_guard() {
-        let src = r#"
-            fn bad(&self) {
-                let v = self.node.value();
-                self.cache.get(&key);
-            }
-        "#;
-        let v = run_l3("crates/core/src/model.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "L3");
-    }
-
-    #[test]
-    fn l3_allows_cache_access_after_guard_scope_closes() {
-        let src = r#"
-            fn good(&self) {
-                let x = {
-                    let v = self.node.value();
-                    v.rows()
-                };
-                self.cache.get(&key);
-            }
-            fn also_good(&self) {
-                self.cache.insert(key, value);
-                let v = self.node.read();
-            }
-        "#;
-        assert!(run_l3("crates/core/src/serve.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l3_ignores_argument_taking_read_write_calls() {
-        let src = r#"
-            fn io(&self) {
-                let n = reader.read_exact(&mut buf);
-                let m = file.write(&buf[..]);
-                self.cache.get(&key);
-            }
-        "#;
-        assert!(run_l3("crates/core/src/persist.rs", src).is_empty());
     }
 
     #[test]

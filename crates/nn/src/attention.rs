@@ -1,6 +1,6 @@
 //! Multi-head scaled dot-product attention.
 
-use crate::autograd::Var;
+use crate::autograd::{Tape, Var};
 use crate::layers::{Linear, Module};
 use crate::matrix::{softmax_row, Matrix};
 use rand::rngs::StdRng;
@@ -62,27 +62,33 @@ impl MultiHeadAttention {
     /// Forward pass. `mask`, if given, is a `(q_len, kv_len)` matrix added
     /// to the attention logits (use large negative values to forbid
     /// positions — e.g. a causal mask in the decoder).
-    pub fn forward(&self, query: &Var, keys_values: &Var, mask: Option<&Matrix>) -> Var {
+    pub fn forward<'p>(
+        &'p self,
+        t: &mut Tape<'p>,
+        query: Var,
+        keys_values: Var,
+        mask: Option<&Matrix>,
+    ) -> Var {
         crate::profile::record_attention();
-        let q = self.wq.forward(query);
-        let k = self.wk.forward(keys_values);
-        let v = self.wv.forward(keys_values);
+        let q = self.wq.forward(t, query);
+        let k = self.wk.forward(t, keys_values);
+        let v = self.wv.forward(t, keys_values);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
 
         let mut head_outputs = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
             let lo = h * self.head_dim;
             let hi = lo + self.head_dim;
-            let qh = q.slice_cols(lo, hi);
-            let kh = k.slice_cols(lo, hi);
-            let vh = v.slice_cols(lo, hi);
+            let qh = t.slice_cols(q, lo, hi);
+            let kh = t.slice_cols(k, lo, hi);
+            let vh = t.slice_cols(v, lo, hi);
             // Fused score+softmax kernel: one buffer instead of the
             // scale/add/softmax chain, bitwise-identical output.
-            let attention = qh.attention_scores(&kh, scale, mask);
-            head_outputs.push(attention.matmul(&vh));
+            let attention = t.attention_scores(qh, kh, scale, mask);
+            head_outputs.push(t.matmul(attention, vh));
         }
-        let concat = Var::concat_cols(&head_outputs);
-        self.wo.forward(&concat)
+        let concat = t.concat_cols(&head_outputs);
+        self.wo.forward(t, concat)
     }
 
     /// Self-attention over one sequence for the inference encode path:
@@ -300,13 +306,7 @@ impl MultiHeadAttention {
 }
 
 impl Module for MultiHeadAttention {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.wq.parameters();
-        p.extend(self.wk.parameters());
-        p.extend(self.wv.parameters());
-        p.extend(self.wo.parameters());
-        p
-    }
+    crate::module_parameters!(wq, wk, wv, wo);
 }
 
 #[cfg(test)]
@@ -314,14 +314,26 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The tape forward's value of `attn` over `query` and `kv`.
+    fn tape_forward(
+        attn: &MultiHeadAttention,
+        query: &Matrix,
+        kv: &Matrix,
+        mask: Option<&Matrix>,
+    ) -> Matrix {
+        let mut t = Tape::new();
+        let (q, kv) = (t.input(query), t.input(kv));
+        let out = attn.forward(&mut t, q, kv, mask);
+        t.value(out).clone()
+    }
+
     #[test]
     fn output_shape_matches_query() {
         let mut rng = StdRng::seed_from_u64(1);
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
-        let q = Var::constant(Matrix::xavier(3, 8, &mut rng));
-        let kv = Var::constant(Matrix::xavier(5, 8, &mut rng));
-        let out = attn.forward(&q, &kv, None);
-        assert_eq!(out.shape(), (3, 8));
+        let q = Matrix::xavier(3, 8, &mut rng);
+        let kv = Matrix::xavier(5, 8, &mut rng);
+        assert_eq!(tape_forward(&attn, &q, &kv, None).shape(), (3, 8));
     }
 
     #[test]
@@ -330,22 +342,14 @@ mod tests {
         let attn = MultiHeadAttention::new(8, 2, &mut rng);
         // Two inputs identical in the past, different in the future: masked
         // attention outputs at position 0 must agree.
-        let mut a = Matrix::xavier(3, 8, &mut rng);
-        let b = {
-            let mut b = a.clone();
-            for c in 0..8 {
-                b.set(2, c, -b.get(2, c) + 0.7);
-            }
-            b
-        };
-        a.set(2, 0, a.get(2, 0)); // no-op, keep a as-is
+        let a = Matrix::xavier(3, 8, &mut rng);
+        let mut b = a.clone();
+        for c in 0..8 {
+            b.set(2, c, -b.get(2, c) + 0.7);
+        }
         let mask = MultiHeadAttention::causal_mask(3);
-        let out_a = attn
-            .forward(&Var::constant(a.clone()), &Var::constant(a), Some(&mask))
-            .to_matrix();
-        let out_b = attn
-            .forward(&Var::constant(b.clone()), &Var::constant(b), Some(&mask))
-            .to_matrix();
+        let out_a = tape_forward(&attn, &a, &a, Some(&mask));
+        let out_b = tape_forward(&attn, &b, &b, Some(&mask));
         for c in 0..8 {
             assert!(
                 (out_a.get(0, c) - out_b.get(0, c)).abs() < 1e-5,
@@ -365,13 +369,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let attn = MultiHeadAttention::new(4, 1, &mut rng);
         let kv_data: Vec<f32> = (0..2).flat_map(|_| vec![0.3, -0.2, 0.8, 0.1]).collect();
-        let kv = Var::constant(Matrix::from_vec(2, 4, kv_data));
-        let q = Var::constant(Matrix::xavier(1, 4, &mut rng));
-        let out1 = attn.forward(&q, &kv, None).to_matrix();
+        let kv = Matrix::from_vec(2, 4, kv_data);
+        let out1 = tape_forward(&attn, &Matrix::xavier(1, 4, &mut rng), &kv, None);
         // Changing the query must not change the output when all values are
         // identical.
-        let q2 = Var::constant(Matrix::xavier(1, 4, &mut rng));
-        let out2 = attn.forward(&q2, &kv, None).to_matrix();
+        let out2 = tape_forward(&attn, &Matrix::xavier(1, 4, &mut rng), &kv, None);
         for c in 0..4 {
             assert!((out1.get(0, c) - out2.get(0, c)).abs() < 1e-5);
         }
@@ -381,15 +383,21 @@ mod tests {
     fn gradients_flow_to_all_projections() {
         let mut rng = StdRng::seed_from_u64(4);
         let attn = MultiHeadAttention::new(8, 4, &mut rng);
-        let x = Var::constant(Matrix::xavier(3, 8, &mut rng));
-        let loss = attn.forward(&x, &x, None).sum();
-        loss.backward();
-        for p in attn.parameters() {
+        let x = Matrix::xavier(3, 8, &mut rng);
+        let mut t = Tape::new();
+        let xv = t.input(&x);
+        let out = attn.forward(&mut t, xv, xv, None);
+        let loss = t.sum(out);
+        t.backward(loss);
+        let params = attn.parameters();
+        for (p, g) in params.iter().zip(t.into_grads(&params)) {
             // Weight matrices must all receive gradient (biases of wk may be
             // near zero by symmetry; check weights only via shape).
-            let (r, _) = p.shape();
-            if r > 1 {
-                assert!(p.grad().norm() > 0.0, "projection got no gradient");
+            if p.rows() > 1 {
+                assert!(
+                    g.is_some_and(|g| g.norm() > 0.0),
+                    "projection got no gradient"
+                );
             }
         }
     }
@@ -401,24 +409,21 @@ mod tests {
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for rows in [0usize, 1, 4] {
             let x = Matrix::xavier(rows, 8, &mut rng);
-            let v = Var::constant(x.clone());
             // Self-attention over the sequence.
-            let tape = attn.forward(&v, &v, None).to_matrix();
+            let tape = tape_forward(&attn, &x, &x, None);
             let packed = attn.forward_segmented(&x);
             assert_eq!(packed.shape(), tape.shape());
             assert_eq!(bits(&packed), bits(&tape), "segmented, {rows} rows");
             // Cross-attention of every row over a cached memory, and the
             // causal last row over the cached prefix.
             let memory = Matrix::xavier(3, 8, &mut rng);
-            let tape = attn
-                .forward(&v, &Var::constant(memory.clone()), None)
-                .to_matrix();
+            let tape = tape_forward(&attn, &x, &memory, None);
             let kv = attn.project_kv(&memory);
             let cached = attn.forward_cached(&x, |_| &kv, false);
             assert_eq!(bits(&cached), bits(&tape), "cached cross, {rows} rows");
             if rows > 0 {
                 let mask = MultiHeadAttention::causal_mask(rows);
-                let tape = attn.forward(&v, &v, Some(&mask)).to_matrix();
+                let tape = tape_forward(&attn, &x, &x, Some(&mask));
                 let prefix = attn.project_kv(&x.slice_rows(0, rows - 1));
                 let last = x.slice_rows(rows - 1, rows);
                 let kv = attn.extend_kv(&[Some(&prefix)], &last);

@@ -1,87 +1,101 @@
-//! Reverse-mode automatic differentiation on [`Matrix`] values.
+//! Reverse-mode automatic differentiation: the training tape.
 //!
-//! [`Var`] is a reference-counted node of a dynamically built computation
-//! graph ("tape"). Operators allocate new nodes holding the forward value
-//! and a backward closure; [`Var::backward`] topologically sorts the graph
-//! and accumulates gradients into every node with `requires_grad`.
+//! A [`Tape`] is a Wengert list. Every operator appends one op, naming its
+//! inputs by `u32` index, and its value to the value slab; a [`Var`] is
+//! such an index. [`Tape::backward`] is one reverse pass over the ops: each
+//! op that a gradient reached hands its inputs their shares, and no share
+//! is computed for an input that takes none (a constant, or an op over
+//! constants only). A training step builds a tape, runs it backward, takes
+//! the parameters' gradients out ([`Tape::into_grads`]) and drops it.
 //!
-//! Graphs are rebuilt per training example (define-by-run), which matches
-//! the variable-length sequences of query plans.
+//! Parameters are plain [`Matrix`] values owned by the layers. A tape
+//! borrows each parameter it reads ([`Tape::param`]) and records it once,
+//! however often the forward reads it, so every use's share accumulates in
+//! one gradient; the optimizer updates the parameters through `&mut` once
+//! the tape is gone. Inference builds no tape: every layer has an `infer`
+//! forward on plain matrices that evaluates the same kernels in the same
+//! order, so it equals the tape's value bit for bit.
 //!
-//! `Var` is the training tape. Inference does not build it: the layers'
-//! `infer` forwards and the packed/cached transformer paths run on plain
-//! [`Matrix`] values and only read parameters, through [`Var::value`].
-//! Nodes are `Arc`-shared and lock their payloads, so a model's parameters
-//! can be read concurrently from many serving threads (`Var: Send + Sync`).
-//! A tape forward that should not record (the bushy position-head decode)
-//! runs under [`no_grad`]: derived nodes then keep no parents and no
-//! backward closure, and gradient storage is allocated lazily only when a
-//! gradient actually flows.
+//! A node's gradient is the sum of its consumers' shares. The first share
+//! is taken as it is and each later one is added to it, in the order the
+//! reverse pass reaches the consumers: the reverse of the order the
+//! forward built them.
 
 use crate::matrix::Matrix;
-use std::cell::Cell;
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+/// A node of a [`Tape`]: the index of its op, value and gradient.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Var(u32);
 
-thread_local! {
-    static NO_GRAD: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with gradient tracking disabled on the current thread.
-///
-/// Inside the closure every operator produces a plain value node: no parent
-/// edges, no backward closure, no gradient storage. This makes inference
-/// both faster and lighter (intermediates are freed as soon as they go out
-/// of scope instead of being pinned by the tape). Nestable and panic-safe.
-pub fn no_grad<T, F: FnOnce() -> T>(f: F) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            NO_GRAD.with(|flag| flag.set(self.0));
-        }
+impl Var {
+    fn at(self) -> usize {
+        self.0 as usize
     }
-    let prev = NO_GRAD.with(|flag| flag.replace(true));
-    let _restore = Restore(prev);
-    f()
 }
 
-/// Whether operators on this thread currently record the tape.
-pub fn grad_enabled() -> bool {
-    NO_GRAD.with(|flag| !flag.get())
+/// One recorded operator over the indices of its inputs.
+#[derive(Clone, Copy)]
+enum Op {
+    /// A constant, or an op whose inputs are all constants: no gradient
+    /// flows into it or through it.
+    Const,
+    /// A parameter: a leaf whose gradient [`Tape::into_grads`] hands out.
+    Param,
+    Add(u32, u32),
+    Sub(u32, u32),
+    Hadamard(u32, u32),
+    Scale(u32, f32),
+    /// `x·W + b`: the product, then the bias row added into it.
+    Linear(u32, u32, u32),
+    MatMul(u32, u32),
+    MatMulNt(u32, u32),
+    AttentionScores(u32, u32, f32),
+    Tanh(u32),
+    Sigmoid(u32),
+    /// GELU of `x`; `aux[at..]` holds its `tanh` terms.
+    Gelu(u32, u32),
+    LnEps(u32, f32),
+    SoftmaxRows(u32),
+    LogSoftmaxRows(u32),
+    /// Row-wise layer norm of `x`, then `·γ + β`; `aux[at..]` holds each
+    /// row's `1/std`, then the normalized rows.
+    LayerNorm {
+        x: u32,
+        gamma: u32,
+        beta: u32,
+        at: u32,
+    },
+    SliceRows(u32, u32, u32),
+    SliceCols(u32, u32, u32),
+    /// Concatenation of the nodes `parts[at..at + n]`.
+    ConcatRows {
+        at: u32,
+        n: u32,
+    },
+    ConcatCols {
+        at: u32,
+        n: u32,
+    },
+    Sum(u32),
 }
 
-type BackwardFn = Box<dyn Fn(&Matrix, &[Var]) + Send + Sync>;
-
-struct Node {
-    id: u64,
-    value: RwLock<Matrix>,
-    /// Allocated on first accumulation; `None` reads as all-zeros.
-    grad: RwLock<Option<Matrix>>,
-    parents: Vec<Var>,
-    backward: Option<BackwardFn>,
-    requires_grad: bool,
-}
-
-/// Hashes a node id with one multiply. Ids are distinct integers from a
-/// counter, so SipHash's flooding resistance buys nothing in `backward`'s
-/// visited set; the multiply spreads them into the high bits the table
-/// probes with.
+/// Hashes a parameter's address with one multiply: addresses are distinct
+/// while the tape borrows them, so the map needs no flooding resistance.
 #[derive(Default)]
-struct IdHasher(u64);
+struct AddrHasher(u64);
 
-impl Hasher for IdHasher {
+impl Hasher for AddrHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
     }
 
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     fn finish(&self) -> u64 {
@@ -89,476 +103,272 @@ impl Hasher for IdHasher {
     }
 }
 
-/// A differentiable matrix variable.
-#[derive(Clone)]
-pub struct Var {
-    node: Arc<Node>,
+/// The training tape: ops, their values, and their gradients, indexed by
+/// [`Var`]. Values borrowed for `'p` (parameters and inputs) are read in
+/// place, never copied.
+pub struct Tape<'p> {
+    ops: Vec<Op>,
+    values: Vec<Cow<'p, Matrix>>,
+    grads: Vec<Option<Matrix>>,
+    /// The parts of each concatenation.
+    parts: Vec<u32>,
+    /// Per-row `1/std` and normalized rows of the layer norms, and the
+    /// `tanh` terms of the GELUs.
+    aux: Vec<f32>,
+    /// The node of each parameter read so far, by address.
+    params: HashMap<usize, u32, BuildHasherDefault<AddrHasher>>,
 }
 
-impl std::fmt::Debug for Var {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let v = self.value();
-        write!(
-            f,
-            "Var(id={}, {}x{}, grad={})",
-            self.node.id,
-            v.rows(),
-            v.cols(),
-            self.node.requires_grad
-        )
+impl Default for Tape<'_> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
-impl Var {
-    fn new(
-        value: Matrix,
-        parents: Vec<Var>,
-        backward: Option<BackwardFn>,
-        requires_grad: bool,
-    ) -> Self {
+impl<'p> Tape<'p> {
+    /// An empty tape, with room for a small model's training step.
+    pub fn new() -> Self {
+        const NODES: usize = 64;
+        Self {
+            ops: Vec::with_capacity(NODES),
+            values: Vec::with_capacity(NODES),
+            grads: Vec::with_capacity(NODES),
+            parts: Vec::new(),
+            aux: Vec::with_capacity(4 * NODES),
+            params: HashMap::with_capacity_and_hasher(NODES / 2, Default::default()),
+        }
+    }
+
+    fn push(&mut self, op: Op, value: Cow<'p, Matrix>) -> Var {
         crate::profile::record_tape_node();
-        Var {
-            node: Arc::new(Node {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                value: RwLock::new(value),
-                grad: RwLock::new(None),
-                parents,
-                backward,
-                requires_grad,
-            }),
+        let id = Var(self.ops.len() as u32);
+        self.ops.push(op);
+        self.values.push(value);
+        self.grads.push(None);
+        id
+    }
+
+    /// Records `op` with its value, or a constant if none of its inputs
+    /// takes a gradient.
+    fn derived(&mut self, tracks: bool, op: Op, value: Matrix) -> Var {
+        self.push(if tracks { op } else { Op::Const }, Cow::Owned(value))
+    }
+
+    /// A parameter, borrowed. Reading the same parameter again returns the
+    /// same node.
+    pub fn param(&mut self, value: &'p Matrix) -> Var {
+        let addr = value as *const Matrix as usize;
+        if let Some(&id) = self.params.get(&addr) {
+            return Var(id);
+        }
+        let v = self.push(Op::Param, Cow::Borrowed(value));
+        self.params.insert(addr, v.0);
+        v
+    }
+
+    /// A constant input, borrowed (receives no gradient).
+    pub fn input(&mut self, value: &'p Matrix) -> Var {
+        self.push(Op::Const, Cow::Borrowed(value))
+    }
+
+    /// A constant (receives no gradient).
+    pub fn constant(&mut self, value: Matrix) -> Var {
+        self.push(Op::Const, Cow::Owned(value))
+    }
+
+    /// The forward value of `v`.
+    pub fn value(&self, v: Var) -> &Matrix {
+        &self.values[v.at()]
+    }
+
+    /// The shape of `v`'s value.
+    pub fn shape(&self, v: Var) -> (usize, usize) {
+        self.value(v).shape()
+    }
+
+    /// The scalar payload of a 1×1 node.
+    pub fn item(&self, v: Var) -> f32 {
+        self.value(v).item()
+    }
+
+    /// A copy of `v`'s accumulated gradient (all zeros if none reached it).
+    /// After [`Tape::backward`], only leaves keep theirs.
+    pub fn grad(&self, v: Var) -> Matrix {
+        match &self.grads[v.at()] {
+            Some(g) => g.clone(),
+            None => {
+                let (r, c) = self.shape(v);
+                Matrix::zeros(r, c)
+            }
         }
     }
 
-    /// A trainable leaf (parameter).
-    pub fn parameter(value: Matrix) -> Self {
-        Self::new(value, Vec::new(), None, true)
+    /// Consumes the tape, handing out the gradient of each of `params`
+    /// (`None` where none reached it or the tape never read it).
+    pub fn into_grads(mut self, params: &[&Matrix]) -> Vec<Option<Matrix>> {
+        params
+            .iter()
+            .map(|&p| {
+                let node = self.params.get(&(p as *const Matrix as usize))?;
+                self.grads[*node as usize].take()
+            })
+            .collect()
     }
 
-    /// A constant leaf (input data; receives no gradient).
-    pub fn constant(value: Matrix) -> Self {
-        Self::new(value, Vec::new(), None, false)
-    }
-
-    fn derived(value: Matrix, parents: Vec<Var>, backward: BackwardFn) -> Self {
-        let requires = grad_enabled() && parents.iter().any(Var::requires_grad);
-        if !requires {
-            // Pure value node: drop the edges so upstream intermediates are
-            // freed eagerly instead of being pinned by this result.
-            return Self::new(value, Vec::new(), None, false);
-        }
-        Self::new(value, parents, Some(backward), true)
-    }
-
-    /// Whether gradients flow into this node.
-    pub fn requires_grad(&self) -> bool {
-        self.node.requires_grad
-    }
-
-    /// Borrow the forward value (shared read lock). Poison is recovered:
-    /// a panicking writer cannot leave the tape permanently unusable for
-    /// the serving workers that share it.
-    pub fn value(&self) -> RwLockReadGuard<'_, Matrix> {
-        self.node
-            .value
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Clone the forward value.
-    pub fn to_matrix(&self) -> Matrix {
-        self.value().clone()
-    }
-
-    /// Clone the accumulated gradient (all-zeros if none has flowed).
-    pub fn grad(&self) -> Matrix {
-        // Release the grad guard before `shape()` re-enters the value lock:
-        // holding both orders grad→value, while `backward` accumulates
-        // under value→grad. Never nest the two.
-        if let Some(m) = &*self.grad_guard() {
-            return m.clone();
-        }
-        let (r, c) = self.shape();
-        Matrix::zeros(r, c)
-    }
-
-    /// Borrow the accumulated gradient (shared read lock; `None` if none
-    /// has flowed). Never take this node's value lock while holding this
-    /// guard: `backward` accumulates under value→grad.
-    pub(crate) fn grad_guard(&self) -> RwLockReadGuard<'_, Option<Matrix>> {
-        self.node
-            .grad
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Borrow the forward value mutably (exclusive write lock), for
-    /// in-place optimizer updates.
-    pub(crate) fn value_mut(&self) -> RwLockWriteGuard<'_, Matrix> {
-        self.node
-            .value
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Shape of the value.
-    pub fn shape(&self) -> (usize, usize) {
-        self.value().shape()
-    }
-
-    /// The scalar payload of a 1×1 variable.
-    pub fn item(&self) -> f32 {
-        self.value().item()
-    }
-
-    /// Zeroes the gradient (optimizers call this on parameters).
-    pub fn zero_grad(&self) {
-        *self
-            .node
-            .grad
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    }
-
-    /// Overwrites the value in place (optimizers; keeps the same node so
-    /// existing optimizer state remains attached).
-    pub fn set_value(&self, value: Matrix) {
-        assert_eq!(value.shape(), self.shape(), "set_value must preserve shape");
-        *self
-            .node
-            .value
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = value;
-    }
-
-    fn accumulate(&self, delta: &Matrix) {
-        if !self.node.requires_grad {
+    /// Runs reverse-mode accumulation from `root`, seeded with an all-ones
+    /// gradient (so for a 1×1 loss every parameter gets ∂loss/∂θ). Each
+    /// op's gradient is dropped once it has been passed on; leaves keep
+    /// theirs.
+    pub fn backward(&mut self, root: Var) {
+        if !self.tracks(root.0) {
             return;
         }
-        let mut g = self
-            .node
-            .grad
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &mut *g {
-            Some(m) => m.add_assign(delta),
-            None => *g = Some(delta.clone()),
-        }
-    }
-
-    /// Runs reverse-mode accumulation from this node. The seed gradient is
-    /// all-ones (so for a 1×1 loss this computes ∂loss/∂θ for every
-    /// parameter θ).
-    pub fn backward(&self) {
-        // Iterative DFS post-order: parents precede consumers in `order`.
-        let mut order: Vec<Var> = Vec::new();
-        let mut visited: HashSet<u64, BuildHasherDefault<IdHasher>> = HashSet::default();
-        let mut stack: Vec<(Var, usize)> = vec![(self.clone(), 0)];
-        while let Some((var, child_idx)) = stack.pop() {
-            if child_idx == 0 && !visited.insert(var.node.id) {
+        let (r, c) = self.shape(root);
+        self.grads[root.at()] = Some(Matrix::full(r, c, 1.0));
+        for i in (0..=root.at()).rev() {
+            if matches!(self.ops[i], Op::Const | Op::Param) {
                 continue;
             }
-            if child_idx < var.node.parents.len() {
-                let parent = var.node.parents[child_idx].clone();
-                stack.push((var, child_idx + 1));
-                if !visited.contains(&parent.node.id) {
-                    stack.push((parent, 0));
+            let Some(g) = self.grads[i].take() else {
+                continue;
+            };
+            self.backward_op(i, &g);
+        }
+    }
+
+    /// Adds `delta` into `to`'s gradient; the first share is kept as is.
+    fn accumulate(&mut self, to: u32, delta: Matrix) {
+        match &mut self.grads[to as usize] {
+            Some(g) => g.add_assign(&delta),
+            slot @ None => *slot = Some(delta),
+        }
+    }
+
+    /// Whether a gradient flows into node `v`.
+    fn tracks(&self, v: u32) -> bool {
+        !matches!(self.ops[v as usize], Op::Const)
+    }
+
+    fn val(&self, v: u32) -> &Matrix {
+        &self.values[v as usize]
+    }
+
+    /// Passes node `i`'s gradient `g` on to its inputs.
+    fn backward_op(&mut self, i: usize, g: &Matrix) {
+        match self.ops[i] {
+            Op::Const | Op::Param => {}
+            Op::Add(a, b) => {
+                if self.tracks(a) {
+                    self.accumulate(a, g.clone());
                 }
-            } else {
-                order.push(var);
+                if self.tracks(b) {
+                    self.accumulate(b, g.clone());
+                }
             }
-        }
-        // Seed.
-        {
-            let shape = self.shape();
-            *self
-                .node
-                .grad
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                Some(Matrix::full(shape.0, shape.1, 1.0));
-        }
-        for var in order.iter().rev() {
-            if let Some(f) = &var.node.backward {
-                // Borrowed, not cloned: the closure locks only the parents,
-                // and a node is never its own parent. `None` means no
-                // gradient reached this node; nothing to propagate further.
-                if let Some(g) = &*var.grad_guard() {
-                    f(g, &var.node.parents);
+            Op::Sub(a, b) => {
+                if self.tracks(a) {
+                    self.accumulate(a, g.clone());
+                }
+                if self.tracks(b) {
+                    self.accumulate(b, g.scale(-1.0));
                 }
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Elementwise & linear-algebra operators
-    // ------------------------------------------------------------------
-
-    /// Elementwise sum.
-    pub fn add(&self, other: &Var) -> Var {
-        let value = self.value().add(&other.value());
-        Var::derived(
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(|g, p| {
-                p[0].accumulate(g);
-                p[1].accumulate(g);
-            }),
-        )
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&self, other: &Var) -> Var {
-        let value = self.value().sub(&other.value());
-        Var::derived(
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(|g, p| {
-                p[0].accumulate(g);
-                p[1].accumulate(&g.scale(-1.0));
-            }),
-        )
-    }
-
-    /// Elementwise product.
-    pub fn hadamard(&self, other: &Var) -> Var {
-        let value = self.value().hadamard(&other.value());
-        Var::derived(
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(|g, p| {
-                p[0].accumulate(&g.hadamard(&p[1].value()));
-                p[1].accumulate(&g.hadamard(&p[0].value()));
-            }),
-        )
-    }
-
-    /// Scalar multiple.
-    pub fn scale(&self, s: f32) -> Var {
-        let value = self.value().scale(s);
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| p[0].accumulate(&g.scale(s))),
-        )
-    }
-
-    /// Adds a 1×cols row vector to every row (bias).
-    pub fn add_broadcast_row(&self, row: &Var) -> Var {
-        let value = self.value().add_row_broadcast(&row.value());
-        Var::derived(
-            value,
-            vec![self.clone(), row.clone()],
-            Box::new(|g, p| {
-                p[0].accumulate(g);
-                // Bias gradient: column sums.
-                let mut col_sum = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (s, &v) in col_sum.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *s += v;
-                    }
+            Op::Hadamard(a, b) => {
+                if self.tracks(a) {
+                    let d = g.hadamard(self.val(b));
+                    self.accumulate(a, d);
                 }
-                p[1].accumulate(&col_sum);
-            }),
-        )
-    }
-
-    /// Matrix product.
-    pub fn matmul(&self, other: &Var) -> Var {
-        let value = self.value().matmul(&other.value());
-        Var::derived(
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(|g, p| {
+                if self.tracks(b) {
+                    let d = g.hadamard(self.val(a));
+                    self.accumulate(b, d);
+                }
+            }
+            Op::Scale(a, s) => self.accumulate(a, g.scale(s)),
+            Op::Linear(x, w, b) => {
+                // The bias's share, then the product's: the order a product
+                // followed by a separate bias add passes them in, which the
+                // trained bits depend on.
+                if self.tracks(b) {
+                    let col_sum = column_sums(g);
+                    self.accumulate(b, col_sum);
+                }
+                if self.tracks(x) {
+                    let d = g.matmul_nt(self.val(w));
+                    self.accumulate(x, d);
+                }
+                if self.tracks(w) {
+                    let d = self.val(x).matmul_tn(g);
+                    self.accumulate(w, d);
+                }
+            }
+            Op::MatMul(a, b) => {
                 // dA = G Bᵀ ; dB = Aᵀ G
-                p[0].accumulate(&g.matmul_nt(&p[1].value()));
-                p[1].accumulate(&p[0].value().matmul_tn(g));
-            }),
-        )
-    }
-
-    /// `self × otherᵀ` (used by attention scores).
-    pub fn matmul_nt(&self, other: &Var) -> Var {
-        let value = self.value().matmul_nt(&other.value());
-        Var::derived(
-            value,
-            vec![self.clone(), other.clone()],
-            Box::new(|g, p| {
+                if self.tracks(a) {
+                    let d = g.matmul_nt(self.val(b));
+                    self.accumulate(a, d);
+                }
+                if self.tracks(b) {
+                    let d = self.val(a).matmul_tn(g);
+                    self.accumulate(b, d);
+                }
+            }
+            Op::MatMulNt(a, b) => {
                 // out = A Bᵀ ⇒ dA = G B ; dB = Gᵀ A
-                p[0].accumulate(&g.matmul(&p[1].value()));
-                p[1].accumulate(&g.matmul_tn(&p[0].value()));
-            }),
-        )
-    }
-
-    /// Fused attention scores: `softmax_rows(self × keysᵀ · scale [+ mask])`
-    /// in one kernel ([`Matrix::attention_scores`]) instead of the
-    /// `matmul_nt → scale → add → softmax_rows` chain of tape nodes and
-    /// intermediates. The forward value is bitwise-identical to the chain;
-    /// the backward applies the same chain rule with the scale folded in.
-    pub fn attention_scores(&self, keys: &Var, scale: f32, mask: Option<&Matrix>) -> Var {
-        let value = self.value().attention_scores(&keys.value(), scale, mask);
-        if !grad_enabled() || !(self.requires_grad() || keys.requires_grad()) {
-            // Skip the y-capture clone entirely on the inference path.
-            return Var::constant(value);
-        }
-        let y = value.clone();
-        Var::derived(
-            value,
-            vec![self.clone(), keys.clone()],
-            Box::new(move |g, p| {
+                if self.tracks(a) {
+                    let d = g.matmul(self.val(b));
+                    self.accumulate(a, d);
+                }
+                if self.tracks(b) {
+                    let d = g.matmul_tn(self.val(a));
+                    self.accumulate(b, d);
+                }
+            }
+            Op::AttentionScores(q, k, scale) => {
                 // Softmax backward first: dS_r = y_r ⊙ (g_r − (g_r · y_r)),
                 // then through the scaled score product (the mask is a
                 // constant): dQ = scale·(dS × K), dK = scale·(dSᵀ × Q).
-                let mut ds = Matrix::zeros(g.rows(), g.cols());
-                for r in 0..g.rows() {
-                    let yr = y.row(r);
-                    let gr = g.row(r);
-                    let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-                    for (d, (&yv, &gv)) in ds.row_mut(r).iter_mut().zip(yr.iter().zip(gr)) {
-                        *d = yv * (gv - dot);
-                    }
+                let ds = softmax_backward(&self.values[i], g);
+                if self.tracks(q) {
+                    let d = ds.matmul(self.val(k)).scale(scale);
+                    self.accumulate(q, d);
                 }
-                p[0].accumulate(&ds.matmul(&p[1].value()).scale(scale));
-                p[1].accumulate(&ds.matmul_tn(&p[0].value()).scale(scale));
-            }),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Nonlinearities
-    // ------------------------------------------------------------------
-
-    /// ReLU.
-    pub fn relu(&self) -> Var {
-        let value = self.value().map(|v| v.max(0.0));
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(|g, p| {
-                let mask = p[0].value().map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                p[0].accumulate(&g.hadamard(&mask));
-            }),
-        )
-    }
-
-    /// Hyperbolic tangent ([`crate::matrix::tanh`]).
-    pub fn tanh(&self) -> Var {
-        let value = self.value().map(crate::matrix::tanh);
-        let out = Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(|g, p| {
-                let y = p[0].value().map(crate::matrix::tanh);
-                let d = y.map(|t| 1.0 - t * t);
-                p[0].accumulate(&g.hadamard(&d));
-            }),
-        );
-        out
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Var {
-        let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(|g, p| {
-                let y = p[0].value().map(|v| 1.0 / (1.0 + (-v).exp()));
-                let d = y.map(|s| s * (1.0 - s));
-                p[0].accumulate(&g.hadamard(&d));
-            }),
-        )
-    }
-
-    /// GELU (tanh approximation), the transformer's default activation.
-    pub fn gelu(&self) -> Var {
-        const C: f32 = crate::matrix::GELU_C;
-        let value = self.value().map(crate::matrix::gelu);
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                // Numerically robust derivative of the approximation.
-                let d = p[0].value().map(|v| {
-                    let inner = C * (v + 0.044715 * v * v * v);
-                    let t = crate::matrix::tanh(inner);
-                    let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
-                    0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
-                });
-                p[0].accumulate(&g.hadamard(&d));
-            }),
-        )
-    }
-
-    /// Elementwise exponential.
-    pub fn exp(&self) -> Var {
-        let value = self.value().map(f32::exp);
-        let y = value.clone();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| p[0].accumulate(&g.hadamard(&y))),
-        )
-    }
-
-    /// Natural log of `x + eps` (safe for non-negative inputs).
-    pub fn ln_eps(&self, eps: f32) -> Var {
-        let value = self.value().map(|v| (v + eps).ln());
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                let d = p[0].value().map(|v| 1.0 / (v + eps));
-                p[0].accumulate(&g.hadamard(&d));
-            }),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Row-wise normalizations
-    // ------------------------------------------------------------------
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&self) -> Var {
-        let value = self.value().softmax_rows();
-        Var::derived(
-            value.clone(),
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                // dx_r = y_r ⊙ (g_r − (g_r · y_r))
-                let mut dx = Matrix::zeros(g.rows(), g.cols());
-                for r in 0..g.rows() {
-                    let y = value.row(r);
-                    let gr = g.row(r);
-                    let dot: f32 = y.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-                    for (d, (&yv, &gv)) in dx.row_mut(r).iter_mut().zip(y.iter().zip(gr)) {
-                        *d = yv * (gv - dot);
-                    }
+                if self.tracks(k) {
+                    let d = ds.matmul_tn(self.val(q)).scale(scale);
+                    self.accumulate(k, d);
                 }
-                p[0].accumulate(&dx);
-            }),
-        )
-    }
-
-    /// Row-wise log-softmax (numerically stable; used for sequence
-    /// likelihoods).
-    pub fn log_softmax_rows(&self) -> Var {
-        let x = self.to_matrix();
-        let mut value = x.clone();
-        for r in 0..value.rows() {
-            let row = value.row_mut(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
-            for v in row.iter_mut() {
-                *v -= lse;
             }
-        }
-        let softmax = x.softmax_rows();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
+            Op::Tanh(x) => {
+                let d = self.values[i].map(|t| 1.0 - t * t);
+                self.accumulate(x, g.hadamard(&d));
+            }
+            Op::Sigmoid(x) => {
+                let d = self.values[i].map(|s| s * (1.0 - s));
+                self.accumulate(x, g.hadamard(&d));
+            }
+            Op::Gelu(x, at) => {
+                const C: f32 = crate::matrix::GELU_C;
+                // Numerically robust derivative of the approximation, from
+                // the forward's `tanh` terms.
+                let ts = &self.aux[at as usize..];
+                let mut d = self.val(x).clone();
+                for (d, &t) in d.data_mut().iter_mut().zip(ts) {
+                    let v = *d;
+                    let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
+                    *d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner;
+                }
+                self.accumulate(x, g.hadamard(&d));
+            }
+            Op::LnEps(x, eps) => {
+                let d = self.val(x).map(|v| 1.0 / (v + eps));
+                self.accumulate(x, g.hadamard(&d));
+            }
+            Op::SoftmaxRows(x) => {
+                let dx = softmax_backward(&self.values[i], g);
+                self.accumulate(x, dx);
+            }
+            Op::LogSoftmaxRows(x) => {
                 // dx_r = g_r − softmax(x)_r · sum(g_r)
+                let softmax = self.val(x).softmax_rows();
                 let mut dx = Matrix::zeros(g.rows(), g.cols());
                 for r in 0..g.rows() {
                     let gsum: f32 = g.row(r).iter().sum();
@@ -570,40 +380,258 @@ impl Var {
                         *d = gv - s * gsum;
                     }
                 }
-                p[0].accumulate(&dx);
-            }),
-        )
-    }
-
-    /// Row-wise layer normalization (no affine; compose with a
-    /// [`crate::LayerNorm`] layer for the learnable scale/shift).
-    pub fn layernorm_rows(&self, eps: f32) -> Var {
-        let x = self.to_matrix();
-        let mut value = x.clone();
-        let mut inv_stds = Vec::with_capacity(x.rows());
-        for r in 0..value.rows() {
-            inv_stds.push(crate::matrix::normalize_row(value.row_mut(r), eps));
-        }
-        let y = value.clone();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                // dx = inv_std * (g − mean(g) − y ⊙ mean(g ⊙ y)) rowwise.
-                let mut dx = Matrix::zeros(g.rows(), g.cols());
-                for (r, &inv_std) in inv_stds.iter().enumerate() {
-                    let n = g.cols() as f32;
-                    let gr = g.row(r);
-                    let yr = y.row(r);
-                    let g_mean: f32 = gr.iter().sum::<f32>() / n;
-                    let gy_mean: f32 = gr.iter().zip(yr).map(|(&a, &b)| a * b).sum::<f32>() / n;
-                    for (d, (&gv, &yv)) in dx.row_mut(r).iter_mut().zip(gr.iter().zip(yr)) {
-                        *d = inv_std * (gv - g_mean - yv * gy_mean);
+                self.accumulate(x, dx);
+            }
+            Op::LayerNorm { x, gamma, beta, at } => {
+                // β's share, then γ's one row at a time, then the
+                // normalization's: the order separate normalize, γ-tiling,
+                // product and bias-add ops pass them in, which the trained
+                // bits depend on.
+                let (rows, cols) = g.shape();
+                let at = at as usize;
+                if self.tracks(beta) {
+                    let col_sum = column_sums(g);
+                    self.accumulate(beta, col_sum);
+                }
+                let y = &self.aux[at + rows..at + rows + rows * cols];
+                if self.tracks(gamma) {
+                    for (gr, yr) in g.data().chunks_exact(cols).zip(y.chunks_exact(cols)) {
+                        let share = gr.iter().zip(yr).map(|(&gv, &yv)| gv * yv);
+                        match &mut self.grads[gamma as usize] {
+                            Some(acc) => {
+                                for (a, d) in acc.data_mut().iter_mut().zip(share) {
+                                    *a += d;
+                                }
+                            }
+                            slot @ None => *slot = Some(Matrix::row_vec(share.collect())),
+                        }
                     }
                 }
-                p[0].accumulate(&dx);
-            }),
-        )
+                if self.tracks(x) {
+                    let mut dn = g.clone();
+                    for row in dn.data_mut().chunks_exact_mut(cols) {
+                        for (d, &gm) in row.iter_mut().zip(self.val(gamma).data()) {
+                            *d *= gm;
+                        }
+                    }
+                    let dx = normalize_backward(&dn, y, &self.aux[at..at + rows]);
+                    self.accumulate(x, dx);
+                }
+            }
+            Op::SliceRows(x, lo, hi) => {
+                let (rows, cols) = self.shape(Var(x));
+                let mut dx = Matrix::zeros(rows, cols);
+                for (i, r) in (lo as usize..hi as usize).enumerate() {
+                    dx.row_mut(r).copy_from_slice(g.row(i));
+                }
+                self.accumulate(x, dx);
+            }
+            Op::SliceCols(x, lo, hi) => {
+                let (rows, cols) = self.shape(Var(x));
+                let (lo, hi) = (lo as usize, hi as usize);
+                let mut dx = Matrix::zeros(rows, cols);
+                for r in 0..rows {
+                    dx.row_mut(r)[lo..hi].copy_from_slice(g.row(r));
+                }
+                self.accumulate(x, dx);
+            }
+            Op::ConcatRows { at, n } => {
+                let mut offset = 0;
+                for k in at..at + n {
+                    let part = self.parts[k as usize];
+                    let rows = self.val(part).rows();
+                    if self.tracks(part) {
+                        self.accumulate(part, g.slice_rows(offset, offset + rows));
+                    }
+                    offset += rows;
+                }
+            }
+            Op::ConcatCols { at, n } => {
+                let mut offset = 0;
+                for k in at..at + n {
+                    let part = self.parts[k as usize];
+                    let cols = self.val(part).cols();
+                    if self.tracks(part) {
+                        self.accumulate(part, g.slice_cols(offset, offset + cols));
+                    }
+                    offset += cols;
+                }
+            }
+            Op::Sum(x) => {
+                let (rows, cols) = self.shape(Var(x));
+                self.accumulate(x, Matrix::full(rows, cols, g.item()));
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Elementwise & linear-algebra operators
+    // ------------------------------------------------------------------
+
+    fn binary(&mut self, a: Var, b: Var, op: Op, value: Matrix) -> Var {
+        let tracks = self.tracks(a.0) || self.tracks(b.0);
+        self.derived(tracks, op, value)
+    }
+
+    fn unary(&mut self, x: Var, op: Op, value: Matrix) -> Var {
+        let tracks = self.tracks(x.0);
+        self.derived(tracks, op, value)
+    }
+
+    /// Elementwise sum.
+    pub fn add(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).add(self.value(b));
+        self.binary(a, b, Op::Add(a.0, b.0), value)
+    }
+
+    /// Elementwise difference.
+    pub fn sub(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).sub(self.value(b));
+        self.binary(a, b, Op::Sub(a.0, b.0), value)
+    }
+
+    /// Elementwise product.
+    pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).hadamard(self.value(b));
+        self.binary(a, b, Op::Hadamard(a.0, b.0), value)
+    }
+
+    /// Scalar multiple.
+    pub fn scale(&mut self, x: Var, s: f32) -> Var {
+        let value = self.value(x).scale(s);
+        self.unary(x, Op::Scale(x.0, s), value)
+    }
+
+    /// An affine map `x·W + b` (`b` a 1×cols row added to every row), one
+    /// node: the value is the product with the bias added in place, as
+    /// [`crate::Linear::infer`] computes it.
+    pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
+        let mut value = self.value(x).matmul(self.value(w));
+        value.add_row_in_place(self.value(b));
+        let tracks = self.tracks(x.0) || self.tracks(w.0) || self.tracks(b.0);
+        self.derived(tracks, Op::Linear(x.0, w.0, b.0), value)
+    }
+
+    /// Matrix product.
+    pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).matmul(self.value(b));
+        self.binary(a, b, Op::MatMul(a.0, b.0), value)
+    }
+
+    /// `a × bᵀ` (used by attention scores and the pointer logits).
+    pub fn matmul_nt(&mut self, a: Var, b: Var) -> Var {
+        let value = self.value(a).matmul_nt(self.value(b));
+        self.binary(a, b, Op::MatMulNt(a.0, b.0), value)
+    }
+
+    /// Fused attention scores: `softmax_rows(q × keysᵀ · scale [+ mask])`
+    /// in one kernel ([`Matrix::attention_scores`]), one node instead of
+    /// the `matmul_nt → scale → add → softmax_rows` chain. The value is
+    /// bitwise the chain's; the backward applies the same chain rule with
+    /// the scale folded in.
+    pub fn attention_scores(
+        &mut self,
+        q: Var,
+        keys: Var,
+        scale: f32,
+        mask: Option<&Matrix>,
+    ) -> Var {
+        let value = self
+            .value(q)
+            .attention_scores(self.value(keys), scale, mask);
+        self.binary(q, keys, Op::AttentionScores(q.0, keys.0, scale), value)
+    }
+
+    // ------------------------------------------------------------------
+    // Nonlinearities
+    // ------------------------------------------------------------------
+
+    /// Hyperbolic tangent ([`crate::matrix::tanh`]).
+    pub fn tanh(&mut self, x: Var) -> Var {
+        let value = self.value(x).map(crate::matrix::tanh);
+        self.unary(x, Op::Tanh(x.0), value)
+    }
+
+    /// Logistic sigmoid.
+    pub fn sigmoid(&mut self, x: Var) -> Var {
+        let value = self.value(x).map(|v| 1.0 / (1.0 + (-v).exp()));
+        self.unary(x, Op::Sigmoid(x.0), value)
+    }
+
+    /// GELU (tanh approximation), the transformer's default activation
+    /// ([`crate::matrix::gelu`]). Its `tanh` terms are kept for the
+    /// backward.
+    pub fn gelu(&mut self, x: Var) -> Var {
+        let at = self.aux.len();
+        let xs: &Matrix = &self.values[x.at()];
+        self.aux
+            .extend(xs.data().iter().map(|&v| crate::matrix::gelu_tanh(v)));
+        let mut value = xs.clone();
+        for (v, &t) in value.data_mut().iter_mut().zip(&self.aux[at..]) {
+            *v = 0.5 * *v * (1.0 + t);
+        }
+        self.unary(x, Op::Gelu(x.0, at as u32), value)
+    }
+
+    /// Natural log of `x + eps` (safe for non-negative inputs).
+    pub fn ln_eps(&mut self, x: Var, eps: f32) -> Var {
+        let value = self.value(x).map(|v| (v + eps).ln());
+        self.unary(x, Op::LnEps(x.0, eps), value)
+    }
+
+    // ------------------------------------------------------------------
+    // Row-wise normalizations
+    // ------------------------------------------------------------------
+
+    /// Row-wise softmax.
+    pub fn softmax_rows(&mut self, x: Var) -> Var {
+        let value = self.value(x).softmax_rows();
+        self.unary(x, Op::SoftmaxRows(x.0), value)
+    }
+
+    /// Row-wise log-softmax (numerically stable; used for sequence
+    /// likelihoods).
+    pub fn log_softmax_rows(&mut self, x: Var) -> Var {
+        let mut value = self.value(x).clone();
+        for r in 0..value.rows() {
+            let row = value.row_mut(r);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
+            for v in row.iter_mut() {
+                *v -= lse;
+            }
+        }
+        self.unary(x, Op::LogSoftmaxRows(x.0), value)
+    }
+
+    /// Row-wise layer normalization followed by the affine `·γ + β` (both
+    /// 1×cols), one node: each entry becomes `((v − mean)·inv_std)·γ + β`,
+    /// as [`Matrix::layer_norm_in_place`] computes it.
+    pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let mut value = self.value(x).clone();
+        let (rows, cols) = value.shape();
+        let at = self.aux.len() as u32;
+        for r in 0..rows {
+            let inv_std = crate::matrix::normalize_row(value.row_mut(r), eps);
+            self.aux.push(inv_std);
+        }
+        self.aux.extend_from_slice(value.data());
+        let (g, b) = (self.value(gamma), self.value(beta));
+        assert_eq!(g.shape(), (1, cols), "layer norm gamma width");
+        assert_eq!(b.shape(), (1, cols), "layer norm beta width");
+        for row in value.data_mut().chunks_exact_mut(cols) {
+            for ((v, &gv), &bv) in row.iter_mut().zip(g.data()).zip(b.data()) {
+                *v = *v * gv + bv;
+            }
+        }
+        let tracks = self.tracks(x.0) || self.tracks(gamma.0) || self.tracks(beta.0);
+        let op = Op::LayerNorm {
+            x: x.0,
+            gamma: gamma.0,
+            beta: beta.0,
+            at,
+        };
+        self.derived(tracks, op, value)
     }
 
     // ------------------------------------------------------------------
@@ -611,100 +639,44 @@ impl Var {
     // ------------------------------------------------------------------
 
     /// Copy of rows `lo..hi` (gradient scatters back).
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> Var {
-        let value = self.value().slice_rows(lo, hi);
-        let (rows, cols) = self.shape();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                let mut dx = Matrix::zeros(rows, cols);
-                for (i, r) in (lo..hi).enumerate() {
-                    dx.row_mut(r).copy_from_slice(g.row(i));
-                }
-                p[0].accumulate(&dx);
-            }),
-        )
+    pub fn slice_rows(&mut self, x: Var, lo: usize, hi: usize) -> Var {
+        let value = self.value(x).slice_rows(lo, hi);
+        self.unary(x, Op::SliceRows(x.0, lo as u32, hi as u32), value)
     }
 
     /// Copy of columns `lo..hi` (gradient scatters back).
-    pub fn slice_cols(&self, lo: usize, hi: usize) -> Var {
-        let value = self.value().slice_cols(lo, hi);
-        let (rows, cols) = self.shape();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                let mut dx = Matrix::zeros(rows, cols);
-                for r in 0..rows {
-                    dx.row_mut(r)[lo..hi].copy_from_slice(g.row(r));
-                }
-                p[0].accumulate(&dx);
-            }),
-        )
+    pub fn slice_cols(&mut self, x: Var, lo: usize, hi: usize) -> Var {
+        let value = self.value(x).slice_cols(lo, hi);
+        self.unary(x, Op::SliceCols(x.0, lo as u32, hi as u32), value)
+    }
+
+    /// Records the parts of a concatenation in `parts`.
+    fn concat(&mut self, parts: &[Var], value: Matrix, rows: bool) -> Var {
+        let tracks = parts.iter().any(|p| self.tracks(p.0));
+        let (at, n) = (self.parts.len() as u32, parts.len() as u32);
+        if tracks {
+            self.parts.extend(parts.iter().map(|p| p.0));
+        }
+        let op = if rows {
+            Op::ConcatRows { at, n }
+        } else {
+            Op::ConcatCols { at, n }
+        };
+        self.derived(tracks, op, value)
     }
 
     /// Vertical concatenation.
-    pub fn concat_rows(parts: &[Var]) -> Var {
-        let values: Vec<Matrix> = parts.iter().map(Var::to_matrix).collect();
-        let refs: Vec<&Matrix> = values.iter().collect();
-        let value = Matrix::concat_rows(&refs);
-        let sizes: Vec<usize> = values.iter().map(Matrix::rows).collect();
-        Var::derived(
-            value,
-            parts.to_vec(),
-            Box::new(move |g, p| {
-                let mut offset = 0;
-                for (var, &rows) in p.iter().zip(&sizes) {
-                    var.accumulate(&g.slice_rows(offset, offset + rows));
-                    offset += rows;
-                }
-            }),
-        )
+    pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
+        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        let value = Matrix::concat_rows(&values);
+        self.concat(parts, value, true)
     }
 
     /// Horizontal concatenation.
-    pub fn concat_cols(parts: &[Var]) -> Var {
-        let values: Vec<Matrix> = parts.iter().map(Var::to_matrix).collect();
-        let refs: Vec<&Matrix> = values.iter().collect();
-        let value = Matrix::concat_cols(&refs);
-        let sizes: Vec<usize> = values.iter().map(Matrix::cols).collect();
-        Var::derived(
-            value,
-            parts.to_vec(),
-            Box::new(move |g, p| {
-                let mut offset = 0;
-                for (var, &cols) in p.iter().zip(&sizes) {
-                    var.accumulate(&g.slice_cols(offset, offset + cols));
-                    offset += cols;
-                }
-            }),
-        )
-    }
-
-    /// Gathers rows of an embedding table (gradient scatter-adds).
-    pub fn embedding(table: &Var, indices: &[usize]) -> Var {
-        let t = table.value();
-        let mut value = Matrix::zeros(indices.len(), t.cols());
-        for (r, &i) in indices.iter().enumerate() {
-            value.row_mut(r).copy_from_slice(t.row(i));
-        }
-        drop(t);
-        let indices = indices.to_vec();
-        let shape = table.shape();
-        Var::derived(
-            value,
-            vec![table.clone()],
-            Box::new(move |g, p| {
-                let mut dt = Matrix::zeros(shape.0, shape.1);
-                for (r, &i) in indices.iter().enumerate() {
-                    for (d, &gv) in dt.row_mut(i).iter_mut().zip(g.row(r)) {
-                        *d += gv;
-                    }
-                }
-                p[0].accumulate(&dt);
-            }),
-        )
+    pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        let value = Matrix::concat_cols(&values);
+        self.concat(parts, value, false)
     }
 
     // ------------------------------------------------------------------
@@ -712,55 +684,105 @@ impl Var {
     // ------------------------------------------------------------------
 
     /// Sum of all entries (1×1 output).
-    pub fn sum(&self) -> Var {
-        let value = Matrix::scalar(self.value().sum());
-        let shape = self.shape();
-        Var::derived(
-            value,
-            vec![self.clone()],
-            Box::new(move |g, p| {
-                p[0].accumulate(&Matrix::full(shape.0, shape.1, g.item()));
-            }),
-        )
+    pub fn sum(&mut self, x: Var) -> Var {
+        let value = Matrix::scalar(self.value(x).sum());
+        self.unary(x, Op::Sum(x.0), value)
     }
 
     /// Mean of all entries (1×1 output).
-    pub fn mean(&self) -> Var {
-        let shape = self.shape();
-        let n = (shape.0 * shape.1) as f32;
-        self.sum().scale(1.0 / n)
+    pub fn mean(&mut self, x: Var) -> Var {
+        let (rows, cols) = self.shape(x);
+        let n = (rows * cols) as f32;
+        let s = self.sum(x);
+        self.scale(s, 1.0 / n)
     }
 
-    /// Mean over rows: `(n, d)` → `(1, d)` (sequence pooling).
-    pub fn mean_rows(&self) -> Var {
-        let (rows, _) = self.shape();
-        let ones = Var::constant(Matrix::full(1, rows, 1.0 / rows as f32));
-        ones.matmul(self)
+    /// Mean over rows: `(n, d)` → `(1, d)` (sequence pooling), as a
+    /// constant `1/n` row times `x`.
+    pub fn mean_rows(&mut self, x: Var) -> Var {
+        let rows = self.shape(x).0;
+        let ones = self.constant(Matrix::full(1, rows, 1.0 / rows as f32));
+        self.matmul(ones, x)
     }
+}
+
+/// The column sums of `g`, each accumulated down the rows from zero (a bias
+/// gradient).
+fn column_sums(g: &Matrix) -> Matrix {
+    let mut sums = Matrix::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        for (s, &v) in sums.row_mut(0).iter_mut().zip(g.row(r)) {
+            *s += v;
+        }
+    }
+    sums
+}
+
+/// The row-wise normalization's backward: with `y` the normalized rows
+/// (row-major) and `inv_stds` their `1/std`,
+/// `dx = inv_std · (dn − mean(dn) − y ⊙ mean(dn ⊙ y))` rowwise.
+fn normalize_backward(dn: &Matrix, y: &[f32], inv_stds: &[f32]) -> Matrix {
+    let cols = dn.cols();
+    let n = cols as f32;
+    let mut dx = Matrix::zeros(dn.rows(), cols);
+    for (r, &inv_std) in inv_stds.iter().enumerate() {
+        let gr = dn.row(r);
+        let yr = &y[r * cols..(r + 1) * cols];
+        let g_mean: f32 = gr.iter().sum::<f32>() / n;
+        let gy_mean: f32 = gr.iter().zip(yr).map(|(&a, &b)| a * b).sum::<f32>() / n;
+        for (d, (&gv, &yv)) in dx.row_mut(r).iter_mut().zip(gr.iter().zip(yr)) {
+            *d = inv_std * (gv - g_mean - yv * gy_mean);
+        }
+    }
+    dx
+}
+
+/// The softmax backward of rows `y` under the gradient `g`:
+/// `dx_r = y_r ⊙ (g_r − (g_r · y_r))`.
+fn softmax_backward(y: &Matrix, g: &Matrix) -> Matrix {
+    let mut dx = Matrix::zeros(g.rows(), g.cols());
+    for r in 0..g.rows() {
+        let yr = y.row(r);
+        let gr = g.row(r);
+        let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
+        for (d, (&yv, &gv)) in dx.row_mut(r).iter_mut().zip(yr.iter().zip(gr)) {
+            *d = yv * (gv - dot);
+        }
+    }
+    dx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scalar_param(v: f32) -> Var {
-        Var::parameter(Matrix::scalar(v))
+    /// The gradient of a scalar loss with respect to `at`, built by
+    /// `build` on a fresh tape with `at` as its parameter.
+    fn grad_of(build: &dyn Fn(&mut Tape, Var) -> Var, at: &Matrix) -> Matrix {
+        let mut t = Tape::new();
+        let p = t.param(at);
+        let loss = build(&mut t, p);
+        t.backward(loss);
+        t.grad(p)
     }
 
-    /// Finite-difference check of d(loss)/d(param) for a scalar loss.
-    fn finite_diff(build: impl Fn(&Var) -> Var, at: Matrix, idx: usize) -> (f32, f32) {
-        let p = Var::parameter(at.clone());
-        let loss = build(&p);
-        loss.backward();
-        let analytic = p.grad().data()[idx];
+    /// `build`'s scalar loss at `at`.
+    fn loss_at(build: &dyn Fn(&mut Tape, Var) -> Var, at: &Matrix) -> f32 {
+        let mut t = Tape::new();
+        let p = t.param(at);
+        let loss = build(&mut t, p);
+        t.item(loss)
+    }
 
+    /// Finite-difference check of d(loss)/d(param) at one entry.
+    fn finite_diff(build: &dyn Fn(&mut Tape, Var) -> Var, at: &Matrix, idx: usize) -> (f32, f32) {
+        let analytic = grad_of(build, at).data()[idx];
         let eps = 1e-3;
         let mut plus = at.clone();
         plus.data_mut()[idx] += eps;
         let mut minus = at.clone();
         minus.data_mut()[idx] -= eps;
-        let lp = build(&Var::parameter(plus)).item();
-        let lm = build(&Var::parameter(minus)).item();
+        let (lp, lm) = (loss_at(build, &plus), loss_at(build, &minus));
         (analytic, (lp - lm) / (2.0 * eps))
     }
 
@@ -770,63 +792,99 @@ mod tests {
 
     #[test]
     fn add_and_scale_grads() {
-        let a = scalar_param(2.0);
-        let b = scalar_param(3.0);
-        let loss = a.add(&b).scale(4.0);
-        loss.backward();
-        assert_eq!(a.grad().item(), 4.0);
-        assert_eq!(b.grad().item(), 4.0);
+        let (a, b) = (Matrix::scalar(2.0), Matrix::scalar(3.0));
+        let mut t = Tape::new();
+        let (va, vb) = (t.param(&a), t.param(&b));
+        let sum = t.add(va, vb);
+        let loss = t.scale(sum, 4.0);
+        t.backward(loss);
+        assert_eq!(t.grad(va).item(), 4.0);
+        assert_eq!(t.grad(vb).item(), 4.0);
     }
 
     #[test]
     fn hadamard_grads() {
-        let a = scalar_param(2.0);
-        let b = scalar_param(3.0);
-        let loss = a.hadamard(&b);
-        loss.backward();
-        assert_eq!(a.grad().item(), 3.0);
-        assert_eq!(b.grad().item(), 2.0);
+        let (a, b) = (Matrix::scalar(2.0), Matrix::scalar(3.0));
+        let mut t = Tape::new();
+        let (va, vb) = (t.param(&a), t.param(&b));
+        let loss = t.hadamard(va, vb);
+        t.backward(loss);
+        assert_eq!(t.grad(va).item(), 3.0);
+        assert_eq!(t.grad(vb).item(), 2.0);
     }
 
     #[test]
     fn reuse_accumulates() {
         // loss = x * x → dx = 2x.
-        let x = scalar_param(5.0);
-        let loss = x.hadamard(&x);
-        loss.backward();
-        assert_eq!(x.grad().item(), 10.0);
+        let x = Matrix::scalar(5.0);
+        let mut t = Tape::new();
+        let v = t.param(&x);
+        let loss = t.hadamard(v, v);
+        t.backward(loss);
+        assert_eq!(t.grad(v).item(), 10.0);
+    }
+
+    #[test]
+    fn a_parameter_read_twice_is_one_node() {
+        let x = Matrix::scalar(5.0);
+        let mut t = Tape::new();
+        let (a, b) = (t.param(&x), t.param(&x));
+        assert_eq!(a, b);
+        let loss = t.hadamard(a, b);
+        t.backward(loss);
+        let grads = t.into_grads(&[&x, &Matrix::scalar(5.0)]);
+        assert_eq!(grads[0].as_ref().map(Matrix::item), Some(10.0));
+        assert!(grads[1].is_none(), "a matrix the tape never read");
     }
 
     #[test]
     fn matmul_grad_finite_diff() {
-        let b = Var::constant(Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]));
+        let b = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]);
         let at = Matrix::from_vec(2, 3, vec![1.0, 2.0, -1.0, 0.5, -0.5, 1.5]);
+        let build = |t: &mut Tape, p: Var| {
+            let b = t.constant(b.clone());
+            let h1 = t.matmul(p, b);
+            let h2 = t.matmul(p, b);
+            let h = t.hadamard(h1, h2);
+            t.sum(h)
+        };
         for idx in 0..6 {
-            let (a, fd) = finite_diff(
-                |p| p.matmul(&b).hadamard(&p.matmul(&b)).sum(),
-                at.clone(),
-                idx,
-            );
+            let (a, fd) = finite_diff(&build, &at, idx);
             assert_close(a, fd, 2e-2);
         }
     }
 
     #[test]
     fn matmul_nt_grad_finite_diff() {
-        let b = Var::constant(Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]));
+        let b = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]);
         let at = Matrix::from_vec(2, 3, vec![1.0, 2.0, -1.0, 0.5, -0.5, 1.5]);
+        let build = |t: &mut Tape, p: Var| {
+            let b = t.constant(b.clone());
+            let h = t.matmul_nt(p, b);
+            t.sum(h)
+        };
         for idx in 0..6 {
-            let (a, fd) = finite_diff(|p| p.matmul_nt(&b).sum(), at.clone(), idx);
+            let (a, fd) = finite_diff(&build, &at, idx);
             assert_close(a, fd, 1e-2);
+        }
+    }
+
+    /// `sum(f(p) ⊙ w)` for a fixed weight row `w`.
+    fn weighted(f: fn(&mut Tape, Var) -> Var) -> impl Fn(&mut Tape, Var) -> Var {
+        move |t: &mut Tape, p: Var| {
+            let w = t.constant(Matrix::from_vec(1, 4, vec![0.3, -0.7, 1.1, 0.2]));
+            let y = f(t, p);
+            let h = t.hadamard(y, w);
+            t.sum(h)
         }
     }
 
     #[test]
     fn softmax_grad_finite_diff() {
         let at = Matrix::from_vec(1, 4, vec![0.1, 0.5, -0.3, 0.9]);
-        let w = Var::constant(Matrix::from_vec(1, 4, vec![0.3, -0.7, 1.1, 0.2]));
+        let build = weighted(|t, p| t.softmax_rows(p));
         for idx in 0..4 {
-            let (a, fd) = finite_diff(|p| p.softmax_rows().hadamard(&w).sum(), at.clone(), idx);
+            let (a, fd) = finite_diff(&build, &at, idx);
             assert_close(a, fd, 1e-2);
         }
     }
@@ -834,23 +892,45 @@ mod tests {
     #[test]
     fn log_softmax_grad_finite_diff() {
         let at = Matrix::from_vec(1, 4, vec![0.1, 0.5, -0.3, 0.9]);
-        let w = Var::constant(Matrix::from_vec(1, 4, vec![0.3, -0.7, 1.1, 0.2]));
+        let build = weighted(|t, p| t.log_softmax_rows(p));
         for idx in 0..4 {
-            let (a, fd) = finite_diff(|p| p.log_softmax_rows().hadamard(&w).sum(), at.clone(), idx);
+            let (a, fd) = finite_diff(&build, &at, idx);
             assert_close(a, fd, 1e-2);
         }
+    }
+
+    /// A layer norm with a non-trivial affine `γ`/`β`.
+    fn affine_norm(t: &mut Tape, p: Var) -> Var {
+        let gamma = t.constant(Matrix::from_vec(1, 4, vec![0.9, -1.3, 0.4, 1.1]));
+        let beta = t.constant(Matrix::from_vec(1, 4, vec![0.1, 0.0, -0.2, 0.3]));
+        t.layer_norm(p, gamma, beta, 1e-5)
     }
 
     #[test]
     fn layernorm_grad_finite_diff() {
         let at = Matrix::from_vec(1, 4, vec![0.2, -0.4, 0.8, 1.2]);
-        let w = Var::constant(Matrix::from_vec(1, 4, vec![0.3, -0.7, 1.1, 0.2]));
+        let build = weighted(affine_norm);
         for idx in 0..4 {
-            let (a, fd) = finite_diff(
-                |p| p.layernorm_rows(1e-5).hadamard(&w).sum(),
-                at.clone(),
-                idx,
-            );
+            let (a, fd) = finite_diff(&build, &at, idx);
+            assert_close(a, fd, 3e-2);
+        }
+        // And through the affine parameters, over two rows.
+        let x = Matrix::from_vec(2, 4, vec![0.2, -0.4, 0.8, 1.2, -1.0, 0.3, 0.6, 0.1]);
+        let beta = Matrix::from_vec(1, 4, vec![0.1, 0.0, -0.2, 0.3]);
+        let norm_with_gamma = |t: &mut Tape, gamma: Var| {
+            let (xv, b) = (t.constant(x.clone()), t.constant(beta.clone()));
+            let y = t.layer_norm(xv, gamma, b, 1e-5);
+            let w = t.constant(Matrix::from_vec(
+                2,
+                4,
+                vec![0.3, -0.7, 1.1, 0.2, 0.5, 0.4, -0.9, 1.3],
+            ));
+            let h = t.hadamard(y, w);
+            t.sum(h)
+        };
+        let gamma = Matrix::from_vec(1, 4, vec![0.9, -1.3, 0.4, 1.1]);
+        for idx in 0..4 {
+            let (a, fd) = finite_diff(&norm_with_gamma, &gamma, idx);
             assert_close(a, fd, 3e-2);
         }
     }
@@ -858,43 +938,53 @@ mod tests {
     #[test]
     fn activations_grad_finite_diff() {
         let at = Matrix::from_vec(1, 3, vec![0.5, -0.7, 1.3]);
+        let activations: [fn(&mut Tape, Var) -> Var; 3] =
+            [|t, p| t.tanh(p), |t, p| t.sigmoid(p), |t, p| t.gelu(p)];
         for idx in 0..3 {
-            let (a, fd) = finite_diff(|p| p.tanh().sum(), at.clone(), idx);
-            assert_close(a, fd, 1e-2);
-            let (a, fd) = finite_diff(|p| p.sigmoid().sum(), at.clone(), idx);
-            assert_close(a, fd, 1e-2);
-            let (a, fd) = finite_diff(|p| p.gelu().sum(), at.clone(), idx);
-            assert_close(a, fd, 1e-2);
-            let (a, fd) = finite_diff(|p| p.relu().sum(), at.clone(), idx);
-            assert_close(a, fd, 1e-2);
+            for f in activations {
+                let build = move |t: &mut Tape, p: Var| {
+                    let y = f(t, p);
+                    t.sum(y)
+                };
+                let (a, fd) = finite_diff(&build, &at, idx);
+                assert_close(a, fd, 1e-2);
+            }
         }
     }
 
     #[test]
     fn fused_attention_scores_forward_bitwise_and_grads_close() {
-        let q = Var::parameter(Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.7, 2.0, -0.4, 0.1]));
-        let k = Var::parameter(Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]));
+        let qm = Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.7, 2.0, -0.4, 0.1]);
+        let km = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]);
         let mask = Matrix::from_vec(2, 2, vec![0.0, -1e9, 0.0, 0.0]);
         let scale = 1.0 / 3f32.sqrt();
-
-        let fused = q.attention_scores(&k, scale, Some(&mask));
-        let composed = q
-            .matmul_nt(&k)
-            .scale(scale)
-            .add(&Var::constant(mask.clone()))
-            .softmax_rows();
-        assert_eq!(fused.to_matrix(), composed.to_matrix());
-
-        let w = Var::constant(Matrix::from_vec(2, 2, vec![0.3, -0.7, 1.1, 0.2]));
-        fused.hadamard(&w).sum().backward();
-        let (fq, fk) = (q.grad(), k.grad());
-        q.zero_grad();
-        k.zero_grad();
-        composed.hadamard(&w).sum().backward();
-        for (a, b) in fq.data().iter().zip(q.grad().data()) {
+        let w = Matrix::from_vec(2, 2, vec![0.3, -0.7, 1.1, 0.2]);
+        let run = |fused: bool| {
+            let mut t = Tape::new();
+            let (q, k) = (t.param(&qm), t.param(&km));
+            let scores = if fused {
+                t.attention_scores(q, k, scale, Some(&mask))
+            } else {
+                let s = t.matmul_nt(q, k);
+                let s = t.scale(s, scale);
+                let m = t.constant(mask.clone());
+                let s = t.add(s, m);
+                t.softmax_rows(s)
+            };
+            let value = t.value(scores).clone();
+            let wv = t.input(&w);
+            let h = t.hadamard(scores, wv);
+            let loss = t.sum(h);
+            t.backward(loss);
+            (value, t.grad(q), t.grad(k))
+        };
+        let (fused, fq, fk) = run(true);
+        let (composed, cq, ck) = run(false);
+        assert_eq!(fused, composed);
+        for (a, b) in fq.data().iter().zip(cq.data()) {
             assert_close(*a, *b, 1e-5);
         }
-        for (a, b) in fk.data().iter().zip(k.grad().data()) {
+        for (a, b) in fk.data().iter().zip(ck.data()) {
             assert_close(*a, *b, 1e-5);
         }
     }
@@ -902,127 +992,115 @@ mod tests {
     #[test]
     fn slicing_grads_scatter() {
         let at = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let p = Var::parameter(at);
-        let loss = p.slice_rows(1, 2).sum();
-        loss.backward();
-        assert_eq!(p.grad().data(), &[0., 0., 1., 1., 0., 0.]);
-        let p2 = Var::parameter(Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
-        let loss2 = p2.slice_cols(2, 3).sum();
-        loss2.backward();
-        assert_eq!(p2.grad().data(), &[0., 0., 1., 0., 0., 1.]);
+        let g = grad_of(
+            &|t, p| {
+                let s = t.slice_rows(p, 1, 2);
+                t.sum(s)
+            },
+            &at,
+        );
+        assert_eq!(g.data(), &[0., 0., 1., 1., 0., 0.]);
+        let at2 = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
+        let g2 = grad_of(
+            &|t, p| {
+                let s = t.slice_cols(p, 2, 3);
+                t.sum(s)
+            },
+            &at2,
+        );
+        assert_eq!(g2.data(), &[0., 0., 1., 0., 0., 1.]);
     }
 
     #[test]
     fn concat_grads_split() {
-        let a = Var::parameter(Matrix::from_vec(1, 2, vec![1., 2.]));
-        let b = Var::parameter(Matrix::from_vec(2, 2, vec![3., 4., 5., 6.]));
-        let loss = Var::concat_rows(&[a.clone(), b.clone()]).scale(2.0).sum();
-        loss.backward();
-        assert_eq!(a.grad().data(), &[2., 2.]);
-        assert_eq!(b.grad().data(), &[2., 2., 2., 2.]);
-    }
-
-    #[test]
-    fn embedding_scatter_add() {
-        let table = Var::parameter(Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]));
-        let e = Var::embedding(&table, &[0, 2, 0]);
-        assert_eq!(e.to_matrix().data(), &[1., 2., 5., 6., 1., 2.]);
-        e.sum().backward();
-        // Row 0 used twice, row 2 once, row 1 never.
-        assert_eq!(table.grad().data(), &[2., 2., 0., 0., 1., 1.]);
+        let a = Matrix::from_vec(1, 2, vec![1., 2.]);
+        let b = Matrix::from_vec(2, 2, vec![3., 4., 5., 6.]);
+        let mut t = Tape::new();
+        let (va, vb) = (t.param(&a), t.param(&b));
+        let c = t.concat_rows(&[va, vb]);
+        let s = t.scale(c, 2.0);
+        let loss = t.sum(s);
+        t.backward(loss);
+        assert_eq!(t.grad(va).data(), &[2., 2.]);
+        assert_eq!(t.grad(vb).data(), &[2., 2., 2., 2.]);
     }
 
     #[test]
     fn broadcast_bias_grad() {
-        let x = Var::constant(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
-        let b = Var::parameter(Matrix::from_vec(1, 2, vec![0.5, -0.5]));
-        let loss = x.add_broadcast_row(&b).sum();
-        loss.backward();
-        assert_eq!(b.grad().data(), &[2., 2.]);
+        let x = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let w = Matrix::from_vec(2, 2, vec![1., 0., 0., 1.]);
+        let b = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
+        let mut t = Tape::new();
+        let (vx, vw, vb) = (t.input(&x), t.input(&w), t.param(&b));
+        let y = t.linear(vx, vw, vb);
+        assert_eq!(t.value(y).data(), &[1.5, 1.5, 3.5, 3.5]);
+        let loss = t.sum(y);
+        t.backward(loss);
+        assert_eq!(t.grad(vb).data(), &[2., 2.]);
+    }
+
+    #[test]
+    fn linear_grad_finite_diff() {
+        let x = Matrix::from_vec(2, 3, vec![1.0, 2.0, -1.0, 0.5, -0.5, 1.5]);
+        let b = Matrix::from_vec(1, 2, vec![0.3, -0.2]);
+        let at = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]);
+        let build = |t: &mut Tape, w: Var| {
+            let (xv, bv) = (t.constant(x.clone()), t.constant(b.clone()));
+            let h = t.linear(xv, w, bv);
+            let h = t.tanh(h);
+            t.sum(h)
+        };
+        for idx in 0..6 {
+            let (a, fd) = finite_diff(&build, &at, idx);
+            assert_close(a, fd, 1e-2);
+        }
     }
 
     #[test]
     fn constants_get_no_grad() {
-        let c = Var::constant(Matrix::scalar(1.0));
-        let p = scalar_param(2.0);
-        let loss = c.hadamard(&p);
-        loss.backward();
-        assert_eq!(c.grad().item(), 0.0);
-        assert_eq!(p.grad().item(), 1.0);
+        let p = Matrix::scalar(2.0);
+        let mut t = Tape::new();
+        let c = t.constant(Matrix::scalar(1.0));
+        let vp = t.param(&p);
+        let loss = t.hadamard(c, vp);
+        t.backward(loss);
+        assert_eq!(t.grad(c).item(), 0.0);
+        assert_eq!(t.grad(vp).item(), 1.0);
+    }
+
+    #[test]
+    fn ops_over_constants_record_no_gradient() {
+        let mut t = Tape::new();
+        let a = t.constant(Matrix::scalar(2.0));
+        let b = t.scale(a, 3.0);
+        assert!(!t.tracks(b.0));
+        // Backward from a constant root is a no-op.
+        t.backward(b);
+        assert_eq!(t.grad(a).item(), 0.0);
     }
 
     #[test]
     fn diamond_graph_accumulates_once() {
         // y = x + x; z = y * y = 4x² → dz/dx = 8x.
-        let x = scalar_param(3.0);
-        let y = x.add(&x);
-        let z = y.hadamard(&y);
-        z.backward();
-        assert_eq!(x.grad().item(), 24.0);
-    }
-
-    #[test]
-    fn var_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Var>();
-    }
-
-    #[test]
-    fn no_grad_skips_tape() {
-        let p = scalar_param(2.0);
-        let y = no_grad(|| p.scale(3.0).add(&p));
-        assert_eq!(y.item(), 8.0);
-        assert!(!y.requires_grad());
-        // The tape was never built, so backward is a no-op for `p`.
-        y.backward();
-        assert_eq!(p.grad().item(), 0.0);
-        // Outside the closure the tape records again.
-        let z = p.scale(3.0);
-        z.backward();
-        assert_eq!(p.grad().item(), 3.0);
-    }
-
-    #[test]
-    fn no_grad_restores_on_panic() {
-        let caught = std::panic::catch_unwind(|| no_grad(|| panic!("boom")));
-        assert!(caught.is_err());
-        assert!(grad_enabled());
-    }
-
-    #[test]
-    fn no_grad_matches_tape_forward_bitwise() {
-        let p = Var::parameter(Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.7, 2.0, -0.4, 0.1]));
-        let w = Var::parameter(Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.1, -0.3, 0.7]));
-        let taped = p.matmul(&w).gelu().softmax_rows().to_matrix();
-        let plain = no_grad(|| p.matmul(&w).gelu().softmax_rows().to_matrix());
-        assert_eq!(taped, plain);
-    }
-
-    #[test]
-    fn concurrent_reads_share_parameters() {
-        let p = Var::parameter(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let p = p.clone();
-                std::thread::spawn(move || no_grad(|| p.scale(2.0).sum().item()))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 6.0);
-        }
+        let x = Matrix::scalar(3.0);
+        let mut t = Tape::new();
+        let v = t.param(&x);
+        let y = t.add(v, v);
+        let z = t.hadamard(y, y);
+        t.backward(z);
+        assert_eq!(t.grad(v).item(), 24.0);
     }
 
     #[test]
     fn mean_and_ln() {
-        let p = Var::parameter(Matrix::from_vec(1, 2, vec![1.0, 3.0]));
-        let loss = p.mean();
-        loss.backward();
-        assert_eq!(p.grad().data(), &[0.5, 0.5]);
-        let (a, fd) = finite_diff(
-            |p| p.ln_eps(1e-6).sum(),
-            Matrix::from_vec(1, 2, vec![2.0, 0.5]),
-            0,
-        );
+        let p = Matrix::from_vec(1, 2, vec![1.0, 3.0]);
+        let g = grad_of(&|t, p| t.mean(p), &p);
+        assert_eq!(g.data(), &[0.5, 0.5]);
+        let build = |t: &mut Tape, p: Var| {
+            let l = t.ln_eps(p, 1e-6);
+            t.sum(l)
+        };
+        let (a, fd) = finite_diff(&build, &Matrix::from_vec(1, 2, vec![2.0, 0.5]), 0);
         assert_close(a, fd, 1e-2);
     }
 }
@@ -1041,17 +1119,23 @@ mod properties {
     }
 
     /// Central finite difference of a scalar-valued builder at one entry.
-    fn fd(build: &dyn Fn(&Var) -> Var, at: &Matrix, idx: usize) -> (f32, f32) {
-        let p = Var::parameter(at.clone());
-        build(&p).backward();
-        let analytic = p.grad().data()[idx];
+    fn fd(build: &dyn Fn(&mut Tape, Var) -> Var, at: &Matrix, idx: usize) -> (f32, f32) {
+        let run = |at: &Matrix, backward: bool| {
+            let mut t = Tape::new();
+            let p = t.param(at);
+            let loss = build(&mut t, p);
+            if backward {
+                t.backward(loss);
+            }
+            (t.item(loss), t.grad(p))
+        };
+        let analytic = run(at, true).1.data()[idx];
         let eps = 2e-3;
         let mut plus = at.clone();
         plus.data_mut()[idx] += eps;
         let mut minus = at.clone();
         minus.data_mut()[idx] -= eps;
-        let lp = build(&Var::parameter(plus)).item();
-        let lm = build(&Var::parameter(minus)).item();
+        let (lp, lm) = (run(&plus, false).0, run(&minus, false).0);
         (analytic, (lp - lm) / (2.0 * eps))
     }
 
@@ -1062,17 +1146,19 @@ mod properties {
         for seed in 0..24 {
             let mut rng = StdRng::seed_from_u64(seed);
             let at = arb_matrix(&mut rng, 2, 3);
-            let w = Var::constant(arb_matrix(&mut rng, 3, 2));
+            let w = arb_matrix(&mut rng, 3, 2);
             let (idx, path) = (rng.gen_range(0usize..6), rng.gen_range(0u8..4));
-            let build = move |p: &Var| -> Var {
-                let h = p.matmul(&w); // (2,2)
+            let build = move |t: &mut Tape, p: Var| -> Var {
+                let w = t.constant(w.clone());
+                let h = t.matmul(p, w); // (2,2)
                 let h = match path {
-                    0 => h.tanh(),
-                    1 => h.sigmoid(),
-                    2 => h.gelu(),
-                    _ => h.softmax_rows(),
+                    0 => t.tanh(h),
+                    1 => t.sigmoid(h),
+                    2 => t.gelu(h),
+                    _ => t.softmax_rows(h),
                 };
-                h.hadamard(&h).mean()
+                let sq = t.hadamard(h, h);
+                t.mean(sq)
             };
             let (analytic, numeric) = fd(&build, &at, idx);
             assert!(
@@ -1087,12 +1173,15 @@ mod properties {
     fn addition_linearity() {
         for seed in 0..24 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let pa = Var::parameter(arb_matrix(&mut rng, 2, 2));
-            let pb = Var::parameter(arb_matrix(&mut rng, 2, 2));
-            pa.add(&pb).sum().backward();
+            let (a, b) = (arb_matrix(&mut rng, 2, 2), arb_matrix(&mut rng, 2, 2));
+            let mut t = Tape::new();
+            let (pa, pb) = (t.param(&a), t.param(&b));
+            let s = t.add(pa, pb);
+            let loss = t.sum(s);
+            t.backward(loss);
             for p in [pa, pb] {
                 assert!(
-                    p.grad().data().iter().all(|&g| (g - 1.0).abs() < 1e-6),
+                    t.grad(p).data().iter().all(|&g| (g - 1.0).abs() < 1e-6),
                     "seed {seed}"
                 );
             }
@@ -1103,15 +1192,18 @@ mod properties {
     #[test]
     fn normalization_invariants() {
         for seed in 0..24 {
-            let v = Var::constant(arb_matrix(&mut StdRng::seed_from_u64(seed), 3, 4));
-            let s = v.softmax_rows().to_matrix();
+            let mut t = Tape::new();
+            let v = t.constant(arb_matrix(&mut StdRng::seed_from_u64(seed), 3, 4));
+            let s = t.softmax_rows(v);
             for r in 0..3 {
-                let sum: f32 = s.row(r).iter().sum();
+                let sum: f32 = t.value(s).row(r).iter().sum();
                 assert!((sum - 1.0).abs() < 1e-5, "seed {seed}");
             }
-            let n = v.layernorm_rows(1e-5).to_matrix();
+            let gamma = t.constant(Matrix::full(1, 4, 1.0));
+            let beta = t.constant(Matrix::zeros(1, 4));
+            let n = t.layer_norm(v, gamma, beta, 1e-5);
             for r in 0..3 {
-                let mean: f32 = n.row(r).iter().sum::<f32>() / 4.0;
+                let mean: f32 = t.value(n).row(r).iter().sum::<f32>() / 4.0;
                 assert!(mean.abs() < 1e-5, "seed {seed}");
             }
         }

@@ -1,73 +1,132 @@
 //! Parameterized layers: linear, layer norm, feed-forward, MLP.
 //!
-//! Each layer has two forwards over the same parameters. `forward` records
-//! the autograd tape ([`Var`]) and is what training differentiates;
-//! `infer` runs on plain [`Matrix`] values, reads each parameter once,
-//! and builds no tape. Both evaluate the same kernels in the same order,
-//! so `infer` is bitwise-equal to `forward`'s value.
+//! Each layer owns its parameters as plain [`Matrix`] values and has two
+//! forwards over them. `forward` records the layer on a training [`Tape`];
+//! `infer` runs on plain matrices, reads each parameter once, and builds
+//! no tape. Both evaluate the same kernels in the same order, so `infer`
+//! is bitwise-equal to `forward`'s value.
 
-use crate::autograd::Var;
+use crate::autograd::{Tape, Var};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 
 /// Anything holding trainable parameters.
+///
+/// Implementations list their parameter-holding fields once, through
+/// [`crate::module_parameters!`], which writes both visitors so that
+/// [`Module::parameters`] and [`Module::parameters_mut`] always agree on
+/// the order.
 pub trait Module {
+    /// Pushes every parameter onto `out`, in a stable order.
+    fn visit<'a>(&'a self, out: &mut Vec<&'a Matrix>);
+
+    /// Pushes every parameter onto `out` mutably, in the order of
+    /// [`Module::visit`].
+    fn visit_mut<'a>(&'a mut self, out: &mut Vec<&'a mut Matrix>);
+
     /// All trainable parameters, in a stable order.
-    fn parameters(&self) -> Vec<Var>;
+    fn parameters(&self) -> Vec<&Matrix> {
+        let mut out = Vec::new();
+        self.visit(&mut out);
+        out
+    }
+
+    /// All trainable parameters, mutably, in the order of
+    /// [`Module::parameters`] (optimizer steps and weight loading).
+    fn parameters_mut(&mut self) -> Vec<&mut Matrix> {
+        let mut out = Vec::new();
+        self.visit_mut(&mut out);
+        out
+    }
 
     /// Total scalar parameter count.
     fn parameter_count(&self) -> usize {
-        self.parameters()
-            .iter()
-            .map(|p| {
-                let (r, c) = p.shape();
-                r * c
-            })
-            .sum()
+        self.parameters().iter().map(|p| p.data().len()).sum()
     }
+}
+
+/// A bare matrix is a module of one parameter.
+impl Module for Matrix {
+    fn visit<'a>(&'a self, out: &mut Vec<&'a Matrix>) {
+        out.push(self);
+    }
+
+    fn visit_mut<'a>(&'a mut self, out: &mut Vec<&'a mut Matrix>) {
+        out.push(self);
+    }
+}
+
+impl<T: Module> Module for Vec<T> {
+    fn visit<'a>(&'a self, out: &mut Vec<&'a Matrix>) {
+        for m in self {
+            m.visit(out);
+        }
+    }
+
+    fn visit_mut<'a>(&'a mut self, out: &mut Vec<&'a mut Matrix>) {
+        for m in self {
+            m.visit_mut(out);
+        }
+    }
+}
+
+/// Writes [`Module::visit`] and [`Module::visit_mut`] over the listed
+/// fields, in order. Each field is a [`Matrix`] parameter or a
+/// [`Module`].
+#[macro_export]
+macro_rules! module_parameters {
+    ($($field:ident),+ $(,)?) => {
+        fn visit<'a>(&'a self, out: &mut Vec<&'a $crate::Matrix>) {
+            $($crate::layers::Module::visit(&self.$field, out);)+
+        }
+
+        fn visit_mut<'a>(&'a mut self, out: &mut Vec<&'a mut $crate::Matrix>) {
+            $($crate::layers::Module::visit_mut(&mut self.$field, out);)+
+        }
+    };
 }
 
 /// Affine layer `y = x W + b` mapping `(n, in)` to `(n, out)`.
 #[derive(Clone)]
 pub struct Linear {
-    w: Var,
-    b: Var,
+    w: Matrix,
+    b: Matrix,
 }
 
 impl Linear {
     /// Xavier-initialized linear layer.
     pub fn new(input: usize, output: usize, rng: &mut StdRng) -> Self {
         Self {
-            w: Var::parameter(Matrix::xavier(input, output, rng)),
-            b: Var::parameter(Matrix::zeros(1, output)),
+            w: Matrix::xavier(input, output, rng),
+            b: Matrix::zeros(1, output),
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &Var) -> Var {
-        x.matmul(&self.w).add_broadcast_row(&self.b)
+    /// Forward pass on the tape.
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
+        let w = t.param(&self.w);
+        let b = t.param(&self.b);
+        t.linear(x, w, b)
     }
 
     /// Inference forward: the GEMM, then the bias added into its output
     /// in place.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value());
-        y.add_row_in_place(&self.b.value());
+        let mut y = x.matmul(&self.w);
+        y.add_row_in_place(&self.b);
         y
     }
 }
 
 impl Module for Linear {
-    fn parameters(&self) -> Vec<Var> {
-        vec![self.w.clone(), self.b.clone()]
-    }
+    module_parameters!(w, b);
 }
 
 /// Layer normalization with learnable scale and shift.
 #[derive(Clone)]
 pub struct LayerNorm {
-    gamma: Var,
-    beta: Var,
+    gamma: Matrix,
+    beta: Matrix,
     eps: f32,
 }
 
@@ -75,39 +134,29 @@ impl LayerNorm {
     /// Identity-initialized layer norm over `dim` features.
     pub fn new(dim: usize) -> Self {
         Self {
-            gamma: Var::parameter(Matrix::full(1, dim, 1.0)),
-            beta: Var::parameter(Matrix::zeros(1, dim)),
+            gamma: Matrix::full(1, dim, 1.0),
+            beta: Matrix::zeros(1, dim),
             eps: 1e-5,
         }
     }
 
     /// Forward pass: row-wise normalize, then scale and shift.
-    pub fn forward(&self, x: &Var) -> Var {
-        let normalized = x.layernorm_rows(self.eps);
-        // Broadcast gamma over rows via hadamard with a tiled row: build a
-        // constant-free formulation: y = n ⊙ Γ + β, where Γ/β broadcast.
-        let (rows, _) = normalized.shape();
-        let gamma_tiled = Var::concat_rows(&vec![self.gamma.clone(); rows]);
-        normalized
-            .hadamard(&gamma_tiled)
-            .add_broadcast_row(&self.beta)
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
+        let gamma = t.param(&self.gamma);
+        let beta = t.param(&self.beta);
+        t.layer_norm(x, gamma, beta, self.eps)
     }
 
     /// Inference forward: normalize and apply `γ`/`β` in one pass.
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut y = x.clone();
-        // Two read guards on two distinct parameters' RwLocks.
-        let gamma = self.gamma.value(); // lint: allow(lock-cycle)
-        let beta = self.beta.value(); // lint: allow(lock-cycle)
-        y.layer_norm_in_place(&gamma, &beta, self.eps);
+        y.layer_norm_in_place(&self.gamma, &self.beta, self.eps);
         y
     }
 }
 
 impl Module for LayerNorm {
-    fn parameters(&self) -> Vec<Var> {
-        vec![self.gamma.clone(), self.beta.clone()]
-    }
+    module_parameters!(gamma, beta);
 }
 
 /// Transformer position-wise feed-forward: `Linear → GELU → Linear`.
@@ -126,9 +175,11 @@ impl FeedForward {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&self, x: &Var) -> Var {
-        self.l2.forward(&self.l1.forward(x).gelu())
+    /// Forward pass on the tape.
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
+        let h = self.l1.forward(t, x);
+        let h = t.gelu(h);
+        self.l2.forward(t, h)
     }
 
     /// Inference forward, with GELU applied in place.
@@ -140,11 +191,7 @@ impl FeedForward {
 }
 
 impl Module for FeedForward {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.l1.parameters();
-        p.extend(self.l2.parameters());
-        p
-    }
+    module_parameters!(l1, l2);
 }
 
 /// A multi-layer perceptron with GELU activations between layers (the
@@ -168,13 +215,13 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Forward pass (no activation after the last layer).
-    pub fn forward(&self, x: &Var) -> Var {
-        let mut h = x.clone();
+    /// Forward pass on the tape (no activation after the last layer).
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
+        let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
+            h = layer.forward(t, h);
             if i + 1 < self.layers.len() {
-                h = h.gelu();
+                h = t.gelu(h);
             }
         }
         h
@@ -198,9 +245,7 @@ impl Mlp {
 }
 
 impl Module for Mlp {
-    fn parameters(&self) -> Vec<Var> {
-        self.layers.iter().flat_map(Linear::parameters).collect()
-    }
+    module_parameters!(layers);
 }
 
 #[cfg(test)]
@@ -212,8 +257,10 @@ mod tests {
     fn linear_shapes_and_params() {
         let mut rng = StdRng::seed_from_u64(1);
         let l = Linear::new(4, 3, &mut rng);
-        let x = Var::constant(Matrix::zeros(5, 4));
-        assert_eq!(l.forward(&x).shape(), (5, 3));
+        let mut t = Tape::new();
+        let x = t.constant(Matrix::zeros(5, 4));
+        let y = l.forward(&mut t, x);
+        assert_eq!(t.shape(y), (5, 3));
         assert_eq!(l.parameter_count(), 4 * 3 + 3);
     }
 
@@ -221,32 +268,35 @@ mod tests {
     fn linear_trains_toward_target() {
         // One linear layer can fit y = 2x + 1.
         let mut rng = StdRng::seed_from_u64(2);
-        let l = Linear::new(1, 1, &mut rng);
-        let mut opt = crate::optim::Adam::new(l.parameters(), 0.05);
+        let mut l = Linear::new(1, 1, &mut rng);
+        let mut opt = crate::optim::Adam::new(&l.parameters(), 0.05);
+        let x = Matrix::from_vec(4, 1, vec![-1.0, 0.0, 1.0, 2.0]);
+        let target = Matrix::from_vec(4, 1, vec![-1.0, 1.0, 3.0, 5.0]);
         for _ in 0..200 {
-            let x = Var::constant(Matrix::from_vec(4, 1, vec![-1.0, 0.0, 1.0, 2.0]));
-            let target = Var::constant(Matrix::from_vec(4, 1, vec![-1.0, 1.0, 3.0, 5.0]));
-            let pred = l.forward(&x);
-            let diff = pred.sub(&target);
-            let loss = diff.hadamard(&diff).mean();
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
+            let grads = {
+                let mut t = Tape::new();
+                let (xv, tv) = (t.input(&x), t.input(&target));
+                let pred = l.forward(&mut t, xv);
+                let diff = t.sub(pred, tv);
+                let sq = t.hadamard(diff, diff);
+                let loss = t.mean(sq);
+                t.backward(loss);
+                t.into_grads(&l.parameters())
+            };
+            opt.step(l.parameters_mut(), &grads);
         }
-        let x = Var::constant(Matrix::from_vec(1, 1, vec![3.0]));
-        let y = l.forward(&x).item();
+        let y = l.infer(&Matrix::from_vec(1, 1, vec![3.0])).item();
         assert!((y - 7.0).abs() < 0.1, "prediction {y}");
     }
 
     #[test]
     fn layernorm_normalizes_rows() {
         let ln = LayerNorm::new(4);
-        let x = Var::constant(Matrix::from_vec(
-            2,
-            4,
-            vec![1., 2., 3., 4., 10., 20., 30., 40.],
-        ));
-        let y = ln.forward(&x).to_matrix();
+        let x = Matrix::from_vec(2, 4, vec![1., 2., 3., 4., 10., 20., 30., 40.]);
+        let mut t = Tape::new();
+        let xv = t.input(&x);
+        let yv = ln.forward(&mut t, xv);
+        let y = t.value(yv);
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             let var: f32 = y
@@ -263,21 +313,37 @@ mod tests {
     #[test]
     fn layernorm_gamma_beta_trainable() {
         let ln = LayerNorm::new(3);
-        let x = Var::constant(Matrix::from_vec(1, 3, vec![1., 2., 3.]));
-        let loss = ln.forward(&x).sum();
-        loss.backward();
-        let params = ln.parameters();
-        assert!(params[0].grad().norm() > 0.0, "gamma receives gradient");
-        assert!(params[1].grad().norm() > 0.0, "beta receives gradient");
+        let x = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
+        let mut t = Tape::new();
+        let xv = t.input(&x);
+        let y = ln.forward(&mut t, xv);
+        let loss = t.sum(y);
+        t.backward(loss);
+        let grads = t.into_grads(&ln.parameters());
+        let norm = |g: &Option<Matrix>| g.as_ref().map_or(0.0, Matrix::norm);
+        assert!(norm(&grads[0]) > 0.0, "gamma receives gradient");
+        assert!(norm(&grads[1]) > 0.0, "beta receives gradient");
     }
 
     #[test]
     fn mlp_shapes() {
         let mut rng = StdRng::seed_from_u64(3);
         let mlp = Mlp::new(&[8, 16, 1], &mut rng);
-        let x = Var::constant(Matrix::zeros(3, 8));
-        assert_eq!(mlp.forward(&x).shape(), (3, 1));
+        let mut t = Tape::new();
+        let x = t.constant(Matrix::zeros(3, 8));
+        let y = mlp.forward(&mut t, x);
+        assert_eq!(t.shape(y), (3, 1));
         assert_eq!(mlp.parameters().len(), 4);
+    }
+
+    #[test]
+    fn parameters_mut_lists_parameters_in_order() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut ff = FeedForward::new(3, 5, &mut rng);
+        let shapes: Vec<_> = ff.parameters().iter().map(|p| p.shape()).collect();
+        assert_eq!(shapes, [(3, 5), (1, 5), (5, 3), (1, 3)]);
+        let mutable: Vec<_> = ff.parameters_mut().iter().map(|p| p.shape()).collect();
+        assert_eq!(mutable, shapes);
     }
 
     fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
@@ -291,41 +357,23 @@ mod tests {
         let linear = Linear::new(6, 5, &mut rng);
         let ff = FeedForward::new(6, 24, &mut rng);
         let mlp = Mlp::new(&[6, 7, 7, 3], &mut rng);
-        let ln = LayerNorm::new(6);
+        let mut ln = LayerNorm::new(6);
         // Non-trivial γ/β, so the affine half is exercised too.
-        let params = ln.parameters();
-        params[0].set_value(Matrix::xavier(1, 6, &mut rng));
-        params[1].set_value(Matrix::xavier(1, 6, &mut rng));
+        ln.gamma = Matrix::xavier(1, 6, &mut rng);
+        ln.beta = Matrix::xavier(1, 6, &mut rng);
         for rows in [0, 1, 5] {
             let x = Matrix::xavier(rows, 6, &mut rng);
-            let v = Var::constant(x.clone());
-            let tape = |y: Var| bits(&y.to_matrix());
-            assert_eq!(
-                bits(&linear.infer(&x)),
-                tape(linear.forward(&v)),
-                "linear, {rows} rows"
-            );
-            assert_eq!(
-                bits(&ff.infer(&x)),
-                tape(ff.forward(&v)),
-                "ffn, {rows} rows"
-            );
-            assert_eq!(
-                bits(&mlp.infer(&x)),
-                tape(mlp.forward(&v)),
-                "mlp, {rows} rows"
-            );
-            if rows == 0 {
-                // The tape's γ tiling concatenates one copy per row, which
-                // has nothing to concatenate at zero rows.
-                assert_eq!(ln.infer(&x).shape(), (0, 6));
-            } else {
-                assert_eq!(
-                    bits(&ln.infer(&x)),
-                    tape(ln.forward(&v)),
-                    "norm, {rows} rows"
-                );
-            }
+            let mut t = Tape::new();
+            let v = t.input(&x);
+            let l = linear.forward(&mut t, v);
+            let f = ff.forward(&mut t, v);
+            let m = mlp.forward(&mut t, v);
+            let n = ln.forward(&mut t, v);
+            let tape = |y: Var| bits(t.value(y));
+            assert_eq!(bits(&linear.infer(&x)), tape(l), "linear, {rows} rows");
+            assert_eq!(bits(&ff.infer(&x)), tape(f), "ffn, {rows} rows");
+            assert_eq!(bits(&mlp.infer(&x)), tape(m), "mlp, {rows} rows");
+            assert_eq!(bits(&ln.infer(&x)), tape(n), "norm, {rows} rows");
         }
     }
 
@@ -333,7 +381,9 @@ mod tests {
     fn feedforward_shapes() {
         let mut rng = StdRng::seed_from_u64(4);
         let ff = FeedForward::new(6, 24, &mut rng);
-        let x = Var::constant(Matrix::zeros(5, 6));
-        assert_eq!(ff.forward(&x).shape(), (5, 6));
+        let mut t = Tape::new();
+        let x = t.constant(Matrix::zeros(5, 6));
+        let y = ff.forward(&mut t, x);
+        assert_eq!(t.shape(y), (5, 6));
     }
 }

@@ -15,18 +15,20 @@
 //!   iterating samples and accumulating gradients (sequence lengths vary
 //!   per query).
 //!
-//! The autograd [`Var`] is the training tape: a reference-counted node;
-//! operators build the graph, [`Var::backward`] runs reverse-mode
-//! accumulation, and [`optim::Adam`] updates parameters in place.
-//! Inference never builds it. Every layer has an `infer` forward over
-//! plain [`Matrix`] values next to its tape `forward`, evaluating the same
-//! kernels in the same order, so the two agree bit for bit; the packed
-//! encoder ([`TransformerEncoder::forward_packed`]) and the incremental
-//! decoder ([`TransformerDecoder::forward_step`]) are built from them.
-//! Parameters are `Var`s read through [`Var::value`]; `Var` is
-//! `Send + Sync`, so a trained model serves from many threads at once.
-//! [`OpStats::tape_nodes`] counts the nodes built, which is 0 on the
-//! inference paths.
+//! Training runs on a flat tape: [`Tape`] records each operator over the
+//! `u32` indices ([`Var`]) of its inputs, [`Tape::backward`] is one reverse
+//! pass over the recorded ops, and [`optim::Adam`] updates the parameters
+//! in place. Parameters are plain [`Matrix`] values owned by the layers
+//! ([`Module::parameters`]); a tape borrows the ones it reads, and the
+//! optimizer takes them `&mut` once the tape is dropped. Inference never
+//! builds a tape. Every layer has an `infer` forward over plain [`Matrix`]
+//! values next to its tape `forward`, evaluating the same kernels in the
+//! same order, so the two agree bit for bit; the packed encoder
+//! ([`TransformerEncoder::forward_packed`]) and the incremental decoder
+//! ([`TransformerDecoder::forward_step`]) are built from them. A trained
+//! model is read-only, so it serves from many threads at once with no
+//! lock. [`OpStats::tape_nodes`] counts the nodes recorded, which is 0 on
+//! the inference paths.
 
 #![forbid(unsafe_code)]
 
@@ -42,7 +44,7 @@ pub mod serialize;
 pub mod transformer;
 
 pub use attention::MultiHeadAttention;
-pub use autograd::{grad_enabled, no_grad, Var};
+pub use autograd::{Tape, Var};
 pub use layers::{FeedForward, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;
 pub use optim::Adam;

@@ -280,8 +280,7 @@ impl Matrix {
     /// Row-wise layer normalization followed by the affine `γ`/`β` (both
     /// 1×cols), in place and in one pass per row: each entry becomes
     /// `((v − mean)·inv_std)·γ + β`, rounded after every op exactly as the
-    /// tape's `layernorm_rows → hadamard → add_broadcast_row` chain
-    /// rounds it.
+    /// tape's [`crate::Tape::layer_norm`] rounds it.
     pub fn layer_norm_in_place(&mut self, gamma: &Matrix, beta: &Matrix, eps: f32) {
         assert_eq!(gamma.shape(), (1, self.cols), "layer norm gamma width");
         assert_eq!(beta.shape(), (1, self.cols), "layer norm beta width");
@@ -435,11 +434,17 @@ impl Matrix {
 }
 
 /// GELU (tanh approximation), the transformer's activation. The tape's
-/// [`crate::Var::gelu`] and the inference [`Matrix::gelu_in_place`] both
+/// [`crate::Tape::gelu`] and the inference [`Matrix::gelu_in_place`] both
 /// evaluate this one function.
 #[inline]
 pub fn gelu(v: f32) -> f32 {
-    0.5 * v * (1.0 + tanh(GELU_C * (v + 0.044715 * v * v * v)))
+    0.5 * v * (1.0 + gelu_tanh(v))
+}
+
+/// The `tanh` term of [`gelu`], which its derivative reuses.
+#[inline]
+pub(crate) fn gelu_tanh(v: f32) -> f32 {
+    tanh(GELU_C * (v + 0.044715 * v * v * v))
 }
 
 /// `sqrt(2/π)`, the GELU approximation's inner scale.
@@ -573,7 +578,7 @@ fn expm1_for_tanh(x: f32) -> f32 {
 
 /// Normalizes one row in place to zero mean and unit variance (population
 /// variance plus `eps`) and returns its `inv_std`. The tape's
-/// [`crate::Var::layernorm_rows`] and the inference
+/// [`crate::Tape::layer_norm`] and the inference
 /// [`Matrix::layer_norm_in_place`] both normalize through this.
 pub(crate) fn normalize_row(row: &mut [f32], eps: f32) -> f32 {
     let n = row.len() as f32;

@@ -79,8 +79,8 @@ pub(crate) fn record_arena_reuse() {
     }
 }
 
-/// Records one autograd [`crate::Var`] node built (a parameter, a
-/// constant, or an op's result).
+/// Records one [`crate::Tape`] node recorded (a parameter, a constant, or
+/// an op's result).
 #[inline]
 pub(crate) fn record_tape_node() {
     if ENABLED.load(Ordering::Relaxed) {
@@ -106,7 +106,7 @@ pub struct OpStats {
     pub allocated_floats: u64,
     /// Matrix buffers served from the per-thread arena instead of the heap.
     pub arena_reuses: u64,
-    /// Autograd [`crate::Var`] nodes built. Only training builds them: the
+    /// [`crate::Tape`] nodes recorded. Only training records them: the
     /// inference forwards run on plain [`crate::Matrix`] values.
     pub tape_nodes: u64,
 }

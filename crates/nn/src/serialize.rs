@@ -5,7 +5,6 @@
 //! weights (the paper's workflow ships pre-trained (S)/(T) modules from the
 //! cloud provider to users).
 
-use crate::autograd::Var;
 use crate::matrix::Matrix;
 use std::io::{self, Read, Write};
 
@@ -13,15 +12,16 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 8] = b"MTMLFNN\x01";
 
 /// Writes a set of matrices.
-pub fn write_matrices<W: Write>(mut w: W, matrices: &[Matrix]) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&(matrices.len() as u64).to_le_bytes())?;
-    for m in matrices {
-        w.write_all(&(m.rows() as u32).to_le_bytes())?;
-        w.write_all(&(m.cols() as u32).to_le_bytes())?;
-        for &v in m.data() {
-            w.write_all(&v.to_le_bytes())?;
-        }
+pub fn write_matrices<W: Write>(w: W, matrices: &[Matrix]) -> io::Result<()> {
+    let refs: Vec<&Matrix> = matrices.iter().collect();
+    save_parameters(w, &refs)
+}
+
+fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> io::Result<()> {
+    w.write_all(&(m.rows() as u32).to_le_bytes())?;
+    w.write_all(&(m.cols() as u32).to_le_bytes())?;
+    for &v in m.data() {
+        w.write_all(&v.to_le_bytes())?;
     }
     Ok(())
 }
@@ -58,15 +58,19 @@ pub fn read_matrices<R: Read>(mut r: R) -> io::Result<Vec<Matrix>> {
 }
 
 /// Saves the values of a parameter list.
-pub fn save_parameters<W: Write>(w: W, params: &[Var]) -> io::Result<()> {
-    let matrices: Vec<Matrix> = params.iter().map(Var::to_matrix).collect();
-    write_matrices(w, &matrices)
+pub fn save_parameters<W: Write>(mut w: W, params: &[&Matrix]) -> io::Result<()> {
+    w.write_all(MAGIC)?;
+    w.write_all(&(params.len() as u64).to_le_bytes())?;
+    for m in params {
+        write_matrix(&mut w, m)?;
+    }
+    Ok(())
 }
 
 /// Loads previously saved values into an existing parameter list. The
 /// count and every shape must match (the model architecture is part of the
 /// caller's configuration, not the weight file).
-pub fn load_parameters<R: Read>(r: R, params: &[Var]) -> io::Result<()> {
+pub fn load_parameters<R: Read>(r: R, params: Vec<&mut Matrix>) -> io::Result<()> {
     let matrices = read_matrices(r)?;
     if matrices.len() != params.len() {
         return Err(io::Error::new(
@@ -90,8 +94,8 @@ pub fn load_parameters<R: Read>(r: R, params: &[Var]) -> io::Result<()> {
             ));
         }
     }
-    for (p, m) in params.iter().zip(matrices) {
-        p.set_value(m);
+    for (p, m) in params.into_iter().zip(matrices) {
+        *p = m;
     }
     Ok(())
 }
@@ -129,21 +133,23 @@ mod tests {
         let b = Linear::new(3, 2, &mut rng);
         let mut buf = Vec::new();
         save_parameters(&mut buf, &a.parameters()).unwrap();
-        load_parameters(&buf[..], &b.parameters()).unwrap();
-        let x = Var::constant(Matrix::from_vec(1, 3, vec![0.3, -0.7, 0.2]));
-        assert_eq!(a.forward(&x).to_matrix(), b.forward(&x).to_matrix());
+        let mut b = b;
+        load_parameters(&buf[..], b.parameters_mut()).unwrap();
+        let x = Matrix::from_vec(1, 3, vec![0.3, -0.7, 0.2]);
+        assert_eq!(a.infer(&x), b.infer(&x));
     }
 
     #[test]
     fn mismatched_shapes_rejected() {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Linear::new(3, 2, &mut rng);
-        let b = Linear::new(4, 2, &mut rng);
+        let mut b = Linear::new(4, 2, &mut rng);
         let mut buf = Vec::new();
         save_parameters(&mut buf, &a.parameters()).unwrap();
-        assert!(load_parameters(&buf[..], &b.parameters()).is_err());
-        let c = Linear::new(3, 2, &mut rng);
-        let too_few = &c.parameters()[..1];
+        assert!(load_parameters(&buf[..], b.parameters_mut()).is_err());
+        let mut c = Linear::new(3, 2, &mut rng);
+        let mut too_few = c.parameters_mut();
+        too_few.truncate(1);
         assert!(load_parameters(&buf[..], too_few).is_err());
     }
 }

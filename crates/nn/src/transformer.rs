@@ -5,7 +5,7 @@
 //! these stacks are configurable in depth, width, and head count.
 
 use crate::attention::{HeadKv, MultiHeadAttention};
-use crate::autograd::Var;
+use crate::autograd::{Tape, Var};
 use crate::layers::{FeedForward, LayerNorm, Module};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
@@ -32,14 +32,17 @@ impl EncoderBlock {
     }
 
     /// Forward pass over a `(seq, d_model)` sequence.
-    pub fn forward(&self, x: &Var) -> Var {
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
         crate::profile::record_block_forward();
-        let attended = self
-            .attention
-            .forward(&self.norm1.forward(x), &self.norm1.forward(x), None);
-        let x = x.add(&attended);
-        let fed = self.feed_forward.forward(&self.norm2.forward(&x));
-        x.add(&fed)
+        // Query and keys/values are normalized separately, as two nodes;
+        // the trained bits depend on that shape of the tape.
+        let query = self.norm1.forward(t, x);
+        let keys_values = self.norm1.forward(t, x);
+        let attended = self.attention.forward(t, query, keys_values, None);
+        let x = t.add(x, attended);
+        let normed = self.norm2.forward(t, x);
+        let fed = self.feed_forward.forward(t, normed);
+        t.add(x, fed)
     }
 
     /// Inference forward on plain values: the residual sums land in `x` in
@@ -56,13 +59,7 @@ impl EncoderBlock {
 }
 
 impl Module for EncoderBlock {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.attention.parameters();
-        p.extend(self.feed_forward.parameters());
-        p.extend(self.norm1.parameters());
-        p.extend(self.norm2.parameters());
-        p
-    }
+    crate::module_parameters!(attention, feed_forward, norm1, norm2);
 }
 
 /// A stack of encoder blocks with a final layer norm.
@@ -84,12 +81,12 @@ impl TransformerEncoder {
     }
 
     /// Forward pass over a `(seq, d_model)` sequence.
-    pub fn forward(&self, x: &Var) -> Var {
-        let mut h = x.clone();
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var) -> Var {
+        let mut h = x;
         for block in &self.blocks {
-            h = block.forward(&h);
+            h = block.forward(t, h);
         }
-        self.final_norm.forward(&h)
+        self.final_norm.forward(t, h)
     }
 
     /// Inference forward over one `(seq, d_model)` sequence on plain
@@ -105,15 +102,7 @@ impl TransformerEncoder {
 }
 
 impl Module for TransformerEncoder {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p: Vec<Var> = self
-            .blocks
-            .iter()
-            .flat_map(EncoderBlock::parameters)
-            .collect();
-        p.extend(self.final_norm.parameters());
-        p
-    }
+    crate::module_parameters!(blocks, final_norm);
 }
 
 /// Per-block attention keys and values for incremental decoding: either
@@ -165,17 +154,17 @@ impl DecoderBlock {
 
     /// Forward pass: `x` is the `(t, d_model)` decoded prefix, `memory` the
     /// `(s, d_model)` encoder output, `causal` the `(t, t)` causal mask.
-    pub fn forward(&self, x: &Var, memory: &Var, causal: &Matrix) -> Var {
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var, memory: Var, causal: &Matrix) -> Var {
         crate::profile::record_block_forward();
-        let q = self.norm1.forward(x);
-        let self_attended = self.self_attention.forward(&q, &q, Some(causal));
-        let x = x.add(&self_attended);
-        let cross = self
-            .cross_attention
-            .forward(&self.norm2.forward(&x), memory, None);
-        let x = x.add(&cross);
-        let fed = self.feed_forward.forward(&self.norm3.forward(&x));
-        x.add(&fed)
+        let q = self.norm1.forward(t, x);
+        let self_attended = self.self_attention.forward(t, q, q, Some(causal));
+        let x = t.add(x, self_attended);
+        let normed = self.norm2.forward(t, x);
+        let cross = self.cross_attention.forward(t, normed, memory, None);
+        let x = t.add(x, cross);
+        let normed = self.norm3.forward(t, x);
+        let fed = self.feed_forward.forward(t, normed);
+        t.add(x, fed)
     }
 
     /// Incremental forward of one new row per prefix (see
@@ -211,15 +200,14 @@ impl DecoderBlock {
 }
 
 impl Module for DecoderBlock {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.self_attention.parameters();
-        p.extend(self.cross_attention.parameters());
-        p.extend(self.feed_forward.parameters());
-        p.extend(self.norm1.parameters());
-        p.extend(self.norm2.parameters());
-        p.extend(self.norm3.parameters());
-        p
-    }
+    crate::module_parameters!(
+        self_attention,
+        cross_attention,
+        feed_forward,
+        norm1,
+        norm2,
+        norm3
+    );
 }
 
 /// A stack of decoder blocks with a final layer norm.
@@ -241,14 +229,13 @@ impl TransformerDecoder {
     }
 
     /// Forward pass with an auto-generated causal mask.
-    pub fn forward(&self, x: &Var, memory: &Var) -> Var {
-        let (t, _) = x.shape();
-        let causal = MultiHeadAttention::causal_mask(t);
-        let mut h = x.clone();
+    pub fn forward<'p>(&'p self, t: &mut Tape<'p>, x: Var, memory: Var) -> Var {
+        let causal = MultiHeadAttention::causal_mask(t.shape(x).0);
+        let mut h = x;
         for block in &self.blocks {
-            h = block.forward(&h, memory, &causal);
+            h = block.forward(t, h, memory, &causal);
         }
-        self.final_norm.forward(&h)
+        self.final_norm.forward(t, h)
     }
 
     /// Cross-attention keys and values of `memory`, per block: computed
@@ -303,15 +290,7 @@ impl TransformerDecoder {
 }
 
 impl Module for TransformerDecoder {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p: Vec<Var> = self
-            .blocks
-            .iter()
-            .flat_map(DecoderBlock::parameters)
-            .collect();
-        p.extend(self.final_norm.parameters());
-        p
-    }
+    crate::module_parameters!(blocks, final_norm);
 }
 
 #[cfg(test)]
@@ -320,35 +299,51 @@ mod tests {
     use crate::optim::Adam;
     use rand::SeedableRng;
 
+    /// The tape encoder forward's value.
+    fn encode(enc: &TransformerEncoder, x: &Matrix) -> Matrix {
+        let mut t = Tape::new();
+        let xv = t.input(x);
+        let out = enc.forward(&mut t, xv);
+        t.value(out).clone()
+    }
+
+    /// The tape decoder forward's value.
+    fn decode(dec: &TransformerDecoder, x: &Matrix, memory: &Matrix) -> Matrix {
+        let mut t = Tape::new();
+        let (xv, mv) = (t.input(x), t.input(memory));
+        let out = dec.forward(&mut t, xv, mv);
+        t.value(out).clone()
+    }
+
     #[test]
     fn encoder_preserves_shape() {
         let mut rng = StdRng::seed_from_u64(1);
         let enc = TransformerEncoder::new(16, 4, 2, &mut rng);
-        let x = Var::constant(Matrix::xavier(5, 16, &mut rng));
-        assert_eq!(enc.forward(&x).shape(), (5, 16));
+        let x = Matrix::xavier(5, 16, &mut rng);
+        assert_eq!(encode(&enc, &x).shape(), (5, 16));
     }
 
     #[test]
     fn decoder_preserves_shape() {
         let mut rng = StdRng::seed_from_u64(2);
         let dec = TransformerDecoder::new(16, 4, 2, &mut rng);
-        let x = Var::constant(Matrix::xavier(3, 16, &mut rng));
-        let memory = Var::constant(Matrix::xavier(7, 16, &mut rng));
-        assert_eq!(dec.forward(&x, &memory).shape(), (3, 16));
+        let x = Matrix::xavier(3, 16, &mut rng);
+        let memory = Matrix::xavier(7, 16, &mut rng);
+        assert_eq!(decode(&dec, &x, &memory).shape(), (3, 16));
     }
 
     #[test]
     fn decoder_is_causal() {
         let mut rng = StdRng::seed_from_u64(3);
         let dec = TransformerDecoder::new(8, 2, 1, &mut rng);
-        let memory = Var::constant(Matrix::xavier(4, 8, &mut rng));
+        let memory = Matrix::xavier(4, 8, &mut rng);
         let a = Matrix::xavier(3, 8, &mut rng);
         let mut b = a.clone();
         for c in 0..8 {
             b.set(2, c, 5.0); // perturb only the last position
         }
-        let oa = dec.forward(&Var::constant(a), &memory).to_matrix();
-        let ob = dec.forward(&Var::constant(b), &memory).to_matrix();
+        let oa = decode(&dec, &a, &memory);
+        let ob = decode(&dec, &b, &memory);
         for c in 0..8 {
             assert!((oa.get(0, c) - ob.get(0, c)).abs() < 1e-4);
             assert!((oa.get(1, c) - ob.get(1, c)).abs() < 1e-4);
@@ -362,45 +357,61 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let enc = TransformerEncoder::new(8, 2, 1, &mut rng);
         let x = Matrix::xavier(3, 8, &mut rng);
-        let out = enc.forward(&Var::constant(x.clone())).to_matrix();
+        let out = encode(&enc, &x);
         // Swap rows 0 and 2.
         let mut swapped = Matrix::zeros(3, 8);
         swapped.row_mut(0).copy_from_slice(x.row(2));
         swapped.row_mut(1).copy_from_slice(x.row(1));
         swapped.row_mut(2).copy_from_slice(x.row(0));
-        let out_swapped = enc.forward(&Var::constant(swapped)).to_matrix();
+        let out_swapped = encode(&enc, &swapped);
         for c in 0..8 {
             assert!((out.get(0, c) - out_swapped.get(2, c)).abs() < 1e-4);
             assert!((out.get(2, c) - out_swapped.get(0, c)).abs() < 1e-4);
         }
     }
 
+    /// An encoder with a linear head on its mean-pooled output.
+    struct Regressor {
+        enc: TransformerEncoder,
+        head: crate::layers::Linear,
+    }
+
+    impl Module for Regressor {
+        crate::module_parameters!(enc, head);
+    }
+
     #[test]
     fn encoder_overfits_tiny_regression() {
         // A 1-block encoder + mean pool should fit two separable inputs.
         let mut rng = StdRng::seed_from_u64(5);
-        let enc = TransformerEncoder::new(8, 2, 1, &mut rng);
-        let head = crate::layers::Linear::new(8, 1, &mut rng);
-        let mut params = enc.parameters();
-        params.extend(head.parameters());
-        let mut opt = Adam::new(params, 1e-2);
+        let mut model = Regressor {
+            enc: TransformerEncoder::new(8, 2, 1, &mut rng),
+            head: crate::layers::Linear::new(8, 1, &mut rng),
+        };
+        let mut opt = Adam::new(&model.parameters(), 1e-2);
         let a = Matrix::xavier(4, 8, &mut rng);
         let b = Matrix::xavier(4, 8, &mut rng);
         let mut last = f32::INFINITY;
         for _ in 0..100 {
-            opt.zero_grad();
-            let mut total = Var::constant(Matrix::scalar(0.0));
-            for (x, target) in [(&a, 1.0f32), (&b, -1.0)] {
-                let h = enc.forward(&Var::constant(x.clone()));
-                let pooled = h.mean_rows();
-                let pred = head.forward(&pooled);
-                let t = Var::constant(Matrix::scalar(target));
-                let d = pred.sub(&t);
-                total = total.add(&d.hadamard(&d).sum());
-            }
-            total.backward();
-            opt.step();
-            last = total.item();
+            let grads = {
+                let mut t = Tape::new();
+                let mut total = t.constant(Matrix::scalar(0.0));
+                for (x, target) in [(&a, 1.0f32), (&b, -1.0)] {
+                    let xv = t.input(x);
+                    let h = model.enc.forward(&mut t, xv);
+                    let pooled = t.mean_rows(h);
+                    let pred = model.head.forward(&mut t, pooled);
+                    let target = t.constant(Matrix::scalar(target));
+                    let d = t.sub(pred, target);
+                    let sq = t.hadamard(d, d);
+                    let sq = t.sum(sq);
+                    total = t.add(total, sq);
+                }
+                t.backward(total);
+                last = t.item(total);
+                t.into_grads(&model.parameters())
+            };
+            opt.step(model.parameters_mut(), &grads);
         }
         assert!(last < 0.05, "final loss {last}");
     }
@@ -413,10 +424,12 @@ mod tests {
         let block = EncoderBlock::new(8, 2, &mut rng);
         for rows in [1usize, 5] {
             let x = Matrix::xavier(rows, 8, &mut rng);
-            let tape = block.forward(&Var::constant(x.clone())).to_matrix();
-            let packed = block.forward_segmented(x);
+            let mut t = Tape::new();
+            let xv = t.input(&x);
+            let out = block.forward(&mut t, xv);
+            let packed = block.forward_segmented(x.clone());
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&packed), bits(&tape), "{rows} rows");
+            assert_eq!(bits(&packed), bits(t.value(out)), "{rows} rows");
         }
     }
 
@@ -429,7 +442,7 @@ mod tests {
         // many.
         for rows in [1, 4] {
             let x = Matrix::xavier(rows, 8, &mut rng);
-            let tape = enc.forward(&Var::constant(x.clone())).to_matrix();
+            let tape = encode(&enc, &x);
             assert_eq!(enc.forward_packed(x), tape);
         }
     }
@@ -459,10 +472,7 @@ mod tests {
                 let prior: Vec<&KvCache> = live.iter().map(|&i| &past[i]).collect();
                 let (out, next) = dec.forward_step(x, &prior, &memory_kv);
                 for (r, (&i, kv)) in live.iter().zip(next).enumerate() {
-                    let prefix = Var::constant(inputs[i].slice_rows(0, t + 1));
-                    let reference = dec
-                        .forward(&prefix, &Var::constant(memory.clone()))
-                        .to_matrix();
+                    let reference = decode(&dec, &inputs[i].slice_rows(0, t + 1), &memory);
                     assert_eq!(out.row(r), reference.row(t), "prefix {i} step {t}");
                     assert_eq!(kv.len(), t + 1);
                     past[i] = kv;

@@ -8,7 +8,7 @@
 //! otherwise bleed counts into each other's windows.
 
 use mtmlf_nn::{
-    Matrix, Module, MultiHeadAttention, OpStats, ProfileGuard, TransformerEncoder, Var,
+    Matrix, Module, MultiHeadAttention, OpStats, ProfileGuard, Tape, TransformerEncoder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,9 +81,11 @@ fn encoder_forward_attributes_attention_and_blocks() {
     let depth = 3;
     let enc = TransformerEncoder::new(8, 2, depth, &mut rng);
     assert!(enc.parameter_count() > 0);
-    let x = Var::constant(Matrix::full(4, 8, 0.1));
+    let x = Matrix::full(4, 8, 0.1);
+    let mut t = Tape::new();
+    let xv = t.input(&x);
     let guard = ProfileGuard::begin();
-    let _ = enc.forward(&x);
+    let _ = enc.forward(&mut t, xv);
     let stats = guard.stats();
     assert_eq!(stats.block_forwards, depth as u64);
     assert_eq!(
@@ -96,7 +98,7 @@ fn encoder_forward_attributes_attention_and_blocks() {
     // A lone attention forward counts exactly one attention, zero blocks.
     let attn = MultiHeadAttention::new(8, 2, &mut rng);
     let attn_guard = ProfileGuard::begin();
-    let _ = attn.forward(&x, &x, None);
+    let _ = attn.forward(&mut t, xv, xv, None);
     let attn_stats = attn_guard.stats();
     assert_eq!(attn_stats.attention_calls, 1);
     assert_eq!(attn_stats.block_forwards, 0);
@@ -141,10 +143,13 @@ fn steady_state_forward_allocates_nothing() {
 #[test]
 fn tape_forward_counts_its_nodes() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let a = Var::parameter(Matrix::full(2, 3, 1.0));
-    let b = Var::constant(Matrix::full(3, 2, 1.0));
+    let am = Matrix::full(2, 3, 1.0);
+    let mut t = Tape::new();
+    let a = t.param(&am);
+    let b = t.constant(Matrix::full(3, 2, 1.0));
     let guard = ProfileGuard::begin();
-    let _ = a.matmul(&b).sum();
+    let ab = t.matmul(a, b);
+    let _ = t.sum(ab);
     // Two op results: the product and its sum.
     assert_eq!(guard.stats().tape_nodes, 2);
 }
@@ -153,7 +158,7 @@ fn tape_forward_counts_its_nodes() {
 fn full_arena_of_small_buffers_still_reuses_a_large_one() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     mtmlf_nn::kernel::arena_clear();
-    // Tape work leaves the pool full of one-float buffers.
+    // A pool full of one-float buffers.
     let small: Vec<Matrix> = (0..128).map(|_| Matrix::zeros(1, 1)).collect();
     drop(small);
     assert_eq!(mtmlf_nn::kernel::arena_buffers(), 128);

@@ -4,7 +4,7 @@ use crate::featurize::PlanFeaturizer;
 use mtmlf_datagen::LabeledQuery;
 use mtmlf_nn::layers::{Linear, Mlp, Module};
 use mtmlf_nn::loss::{log_pred_to_estimate, q_error_log_loss};
-use mtmlf_nn::{Adam, Matrix, Var};
+use mtmlf_nn::{Adam, Matrix, Tape, Var};
 use mtmlf_query::{PlanNode, Query};
 use mtmlf_storage::Database;
 use rand::rngs::StdRng;
@@ -67,38 +67,36 @@ impl TreeLstm {
         }
     }
 
-    /// All trainable parameters.
-    pub fn parameters(&self) -> Vec<Var> {
-        let mut p = self.cell.parameters();
-        p.extend(self.card_head.parameters());
-        p.extend(self.cost_head.parameters());
-        p
-    }
-
-    /// Evaluates the cell over a plan, returning per-node hidden states in
-    /// post-order.
-    fn states(&self, db: &Database, query: &Query, plan: &PlanNode) -> Vec<Var> {
-        let mut out = Vec::with_capacity(plan.node_count());
-        self.eval(db, query, plan, &mut out);
-        out
-    }
-
-    fn eval(&self, db: &Database, query: &Query, node: &PlanNode, out: &mut Vec<Var>) -> NodeState {
-        let zero = || Var::constant(Matrix::zeros(1, self.hidden));
+    /// Evaluates the cell over the subtree at `node` on the tape, calling
+    /// `visit` with each node's post-order index and hidden state as soon
+    /// as the state exists, before its parent's cell. Training records the
+    /// heads' losses there, so the backward adds a state's gradient shares
+    /// in a fixed order (its parent's cell, then its cost head, then its
+    /// card head) on which the trained bits depend.
+    fn eval<'p>(
+        &'p self,
+        t: &mut Tape<'p>,
+        db: &Database,
+        query: &Query,
+        node: &PlanNode,
+        visit: &mut dyn FnMut(&mut Tape<'p>, usize, Var),
+        next: &mut usize,
+    ) -> NodeState {
+        let zero = |t: &mut Tape<'p>| t.constant(Matrix::zeros(1, self.hidden));
         let (left, right) = match node {
             PlanNode::Scan { .. } => (
                 NodeState {
-                    h: zero(),
-                    c: zero(),
+                    h: zero(t),
+                    c: zero(t),
                 },
                 NodeState {
-                    h: zero(),
-                    c: zero(),
+                    h: zero(t),
+                    c: zero(t),
                 },
             ),
             PlanNode::Join { left, right, .. } => {
-                let l = self.eval(db, query, left, out);
-                let r = self.eval(db, query, right, out);
+                let l = self.eval(t, db, query, left, visit, next);
+                let r = self.eval(t, db, query, right, visit, next);
                 (l, r)
             }
         };
@@ -110,44 +108,54 @@ impl TreeLstm {
                 .featurize(db, query, &shallow_copy(node))
                 .pop()
                 .expect("at least the root feature"); // lint: allow(panic)
-            Var::constant(Matrix::row_vec(f))
+            t.constant(Matrix::row_vec(f))
         };
-        let input = Var::concat_cols(&[features, left.h, right.h]);
-        let gates = self.cell.forward(&input);
+        let input = t.concat_cols(&[features, left.h, right.h]);
+        let gates = self.cell.forward(t, input);
         let h = self.hidden;
-        let i = gates.slice_cols(0, h).sigmoid();
-        let f_l = gates.slice_cols(h, 2 * h).sigmoid();
-        let f_r = gates.slice_cols(2 * h, 3 * h).sigmoid();
-        let o = gates.slice_cols(3 * h, 4 * h).sigmoid();
-        let u = gates.slice_cols(4 * h, 5 * h).tanh();
-        let c = i
-            .hadamard(&u)
-            .add(&f_l.hadamard(&left.c))
-            .add(&f_r.hadamard(&right.c));
-        let hidden = o.hadamard(&c.tanh());
-        out.push(hidden.clone());
+        let i = t.slice_cols(gates, 0, h);
+        let i = t.sigmoid(i);
+        let f_l = t.slice_cols(gates, h, 2 * h);
+        let f_l = t.sigmoid(f_l);
+        let f_r = t.slice_cols(gates, 2 * h, 3 * h);
+        let f_r = t.sigmoid(f_r);
+        let o = t.slice_cols(gates, 3 * h, 4 * h);
+        let o = t.sigmoid(o);
+        let u = t.slice_cols(gates, 4 * h, 5 * h);
+        let u = t.tanh(u);
+        let iu = t.hadamard(i, u);
+        let fl = t.hadamard(f_l, left.c);
+        let c = t.add(iu, fl);
+        let fr = t.hadamard(f_r, right.c);
+        let c = t.add(c, fr);
+        let tanh_c = t.tanh(c);
+        let hidden = t.hadamard(o, tanh_c);
+        visit(t, *next, hidden);
+        *next += 1;
         NodeState { h: hidden, c }
     }
 
     /// Predicts `(cardinality, cost)` for the sub-plan rooted at each node
     /// of `plan`, in post-order.
     pub fn predict(&self, db: &Database, query: &Query, plan: &PlanNode) -> Vec<(f64, f64)> {
-        self.states(db, query, plan)
-            .iter()
-            .map(|h| {
-                let card = self.card_head.forward(h).item();
-                let cost = self.cost_head.forward(h).item();
-                (log_pred_to_estimate(card), log_pred_to_estimate(cost))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(plan.node_count());
+        let mut heads = |t: &mut Tape, _: usize, h: Var| {
+            let card = self.card_head.infer(t.value(h)).item();
+            let cost = self.cost_head.infer(t.value(h)).item();
+            out.push((log_pred_to_estimate(card), log_pred_to_estimate(cost)));
+        };
+        self.eval(&mut Tape::new(), db, query, plan, &mut heads, &mut 0);
+        out
     }
 
     /// Trains on labelled queries with per-node Q-error losses on both
-    /// heads. Returns the mean loss of the final epoch.
+    /// heads. Returns the mean loss of the final epoch. The training
+    /// buffers are dropped from the calling thread's kernel arena when it
+    /// returns.
     pub fn train(&mut self, db: &Database, data: &[LabeledQuery]) -> f32 {
         use rand::seq::SliceRandom;
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xA5A5);
-        let mut opt = Adam::new(self.parameters(), self.config.lr);
+        let mut opt = Adam::new(&self.parameters(), self.config.lr);
         let mut order: Vec<usize> = (0..data.len()).collect();
         let mut final_epoch_loss = 0.0;
         for _epoch in 0..self.config.epochs {
@@ -155,25 +163,41 @@ impl TreeLstm {
             let mut epoch_loss = 0.0;
             for &qi in &order {
                 let sample = &data[qi];
-                let states = self.states(db, &sample.query, &sample.plan);
-                let mut loss = Var::constant(Matrix::scalar(0.0));
-                for (i, h) in states.iter().enumerate() {
-                    let card_pred = self.card_head.forward(h);
-                    let cost_pred = self.cost_head.forward(h);
-                    loss = loss
-                        .add(&q_error_log_loss(&card_pred, sample.node_cards[i] as f64))
-                        .add(&q_error_log_loss(&cost_pred, sample.node_costs[i]));
-                }
-                let loss = loss.scale(1.0 / (2.0 * states.len() as f32));
-                opt.zero_grad();
-                loss.backward();
-                opt.step();
-                epoch_loss += loss.item();
+                let (loss, grads) = {
+                    let mut t = Tape::new();
+                    let mut loss = t.constant(Matrix::scalar(0.0));
+                    let mut nodes = 0;
+                    self.eval(
+                        &mut t,
+                        db,
+                        &sample.query,
+                        &sample.plan,
+                        &mut |t, i, h| {
+                            let card_pred = self.card_head.forward(t, h);
+                            let card = q_error_log_loss(t, card_pred, sample.node_cards[i] as f64);
+                            loss = t.add(loss, card);
+                            let cost_pred = self.cost_head.forward(t, h);
+                            let cost = q_error_log_loss(t, cost_pred, sample.node_costs[i]);
+                            loss = t.add(loss, cost);
+                        },
+                        &mut nodes,
+                    );
+                    let loss = t.scale(loss, 1.0 / (2.0 * nodes as f32));
+                    t.backward(loss);
+                    (t.item(loss), t.into_grads(&self.parameters()))
+                };
+                opt.step(self.parameters_mut(), &grads);
+                epoch_loss += loss;
             }
             final_epoch_loss = epoch_loss / data.len().max(1) as f32;
         }
+        mtmlf_nn::kernel::arena_clear();
         final_epoch_loss
     }
+}
+
+impl Module for TreeLstm {
+    mtmlf_nn::module_parameters!(cell, card_head, cost_head);
 }
 
 /// A shallow single-node copy for leaf-feature extraction: joins lose their
@@ -288,6 +312,40 @@ mod tests {
         assert!(
             after < before,
             "geometric-mean q-error should improve: {before} -> {after}"
+        );
+    }
+
+    #[test]
+    fn trained_bits_match_the_recorded_digest() {
+        // Recorded before the training tape was flattened: the same
+        // training must keep producing the same model, bit for bit.
+        let (db, labeled) = setup(6);
+        let mut model = TreeLstm::new(
+            db.table_count(),
+            TreeLstmConfig {
+                hidden: 16,
+                epochs: 2,
+                ..TreeLstmConfig::default()
+            },
+        );
+        let loss = model.train(&db, &labeled);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let preds = labeled
+            .iter()
+            .flat_map(|s| model.predict(&db, &s.query, &s.plan));
+        for (card, cost) in preds {
+            for b in card
+                .to_bits()
+                .to_le_bytes()
+                .into_iter()
+                .chain(cost.to_bits().to_le_bytes())
+            {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            (loss.to_bits(), digest),
+            (0x41b2_d9c4, 0xb5a7_3041_08bc_cede)
         );
     }
 

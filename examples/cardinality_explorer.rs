@@ -112,7 +112,7 @@ fn main() {
         let pg_est = pg.base_cardinality(&query, title).expect("pg estimate");
         let enc = featurizer.encoder(title).expect("encoder");
         let tokens = featurizer.predicate_tokens(title, &filters);
-        let enc_est = log_pred_to_estimate(enc.predict_log_card(&tokens).item());
+        let enc_est = log_pred_to_estimate(enc.embed_with_logcard(&tokens).1);
         println!(
             "{label:<58} {truth:>8.0} {pg_est:>10.1} {:>8.1} {enc_est:>10.1} {:>8.1}",
             q_error(pg_est, truth),
