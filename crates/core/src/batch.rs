@@ -2,21 +2,30 @@
 //!
 //! [`plan_traced`] plans one query the way
 //! [`MtmlfQo::plan_with_estimates`] does for left-deep plans, stage by
-//! stage: serialize the initial plan, one `Trans_Share` forward over its
-//! nodes, the legality-constrained beam ([`crate::beam::beam_search`],
-//! which decodes one new row per live prefix per step against cached keys
-//! and values), then the chosen plan's serialization and one estimation
-//! forward whose heads read its root row. Every output is bitwise
-//! identical to [`MtmlfQo::plan_with_estimates`] — the property the
-//! serving layer's concurrency tests pin down. Planning builds no autograd
-//! tape.
+//! stage, and does each piece of model work once:
+//! 1. serialize the initial plan, running each table's encoder (or reading
+//!    its memoized embedding);
+//! 2. one `Trans_Share` forward over its nodes;
+//! 3. the legality-constrained beam ([`crate::beam::beam_search`]), which
+//!    decodes one new row per live prefix per step against cached keys and
+//!    values, runs cross-attention as one score and one value GEMM per head
+//!    for all live prefixes together, and reuses its buffers from step to
+//!    step;
+//! 4. the chosen plan's serialization, with its scan rows copied from the
+//!    initial plan's ([`reserialize_plan`]: same tables, same filters);
+//! 5. one estimation forward whose last encoder block and heads run on the
+//!    chosen plan's root row only.
+//!
+//! Every output is bitwise identical to [`MtmlfQo::plan_with_estimates`] —
+//! the property the serving layer's concurrency tests pin down. Planning
+//! builds no autograd tape.
 //!
 //! [`plan_batch`] plans a slice of queries, each alone; a failing query
 //! yields an `Err` in its slot and leaves the others untouched.
 
 use crate::beam::beam_search;
 use crate::model::MtmlfQo;
-use crate::serialize::serialize_plan;
+use crate::serialize::{reserialize_plan, serialize_plan};
 use crate::trace::{Stage, StageRecorder};
 use crate::{MtmlfError, Result};
 use mtmlf_query::{JoinOrder, Query};
@@ -90,22 +99,14 @@ pub fn plan_traced(
         ))
     })?;
 
-    // Serialize the *chosen* plan and estimate it with one more forward;
-    // the row-local heads run on its root row only (the root is the last
-    // node in post-order).
+    // Serialize the *chosen* plan, copying its scan rows from the initial
+    // plan's, and estimate it with one more forward whose last block and
+    // heads run on its root row only (the root is the last node in
+    // post-order).
     let chosen = recorder.timed(Stage::Featurize, || {
-        serialize_plan(model.featurization(), query, &join_order.to_plan()?, config)
+        reserialize_plan(&initial, query, &join_order.to_plan()?, config)
     })?;
-    let (est_card, est_cost) = recorder.timed(Stage::Forward, || {
-        let shared = model.shared_module().infer(&chosen.features);
-        let root = shared.slice_rows(shared.rows().saturating_sub(1), shared.rows());
-        model
-            .heads_module()
-            .estimates(&root)
-            .first()
-            .copied()
-            .ok_or_else(|| MtmlfError::Internal("chosen plan has no nodes".into()))
-    })?;
+    let (est_card, est_cost) = recorder.timed(Stage::Forward, || model.estimate_root(&chosen))?;
     Ok(PlannedQuery {
         join_order,
         est_card,

@@ -11,10 +11,10 @@
 //!
 //! There is one left-deep decode path, and it is incremental: every step
 //! decodes only the newest row of each of the query's live prefixes in one
-//! decoder step ([`TransJo::step_logits_batch`]). Each prefix carries the
+//! decoder step ([`TransJo::step_logits_into`]). Each prefix carries the
 //! self-attention keys and values of its earlier rows, and a surviving
 //! extension inherits its parent's; the query's memory keys and values are
-//! computed once ([`DecodeCache`](crate::transjo::DecodeCache)). The last
+//! computed once ([`DecodeCache`]). The last
 //! step is forced — every live prefix has exactly one table left — so it
 //! is not decoded at all: the log-softmax over one allowed table is
 //! exactly 0. Decoding runs on plain [`Matrix`] values and builds no
@@ -24,7 +24,7 @@
 //! position-head forward ([`TransJo::infer_position_logits`]), also on
 //! plain values.
 
-use crate::transjo::{StepEntry, TransJo};
+use crate::transjo::{DecodeCache, StepEntry, TransJo};
 use mtmlf_nn::{KvCache, Matrix};
 use mtmlf_query::JoinGraph;
 
@@ -190,54 +190,104 @@ fn extend_prefix(
     }
 }
 
-/// One live prefix: its slots, cumulative log-probability, and the index
-/// (into [`BeamState::kv`]) of the self-attention cache its newest
-/// decoder row attends over — its parent's, inherited when it survived.
+/// One live prefix: its cumulative log-probability and the index (into
+/// [`BeamState::kv`]) of the self-attention cache its newest decoder row
+/// attends over — its parent's, inherited when it survived. Its slots are
+/// [`BeamState::prefix`].
+#[derive(Clone, Copy)]
 struct Beam {
-    slots: Vec<usize>,
     log_prob: f32,
     past: usize,
 }
 
 /// The beam of one query: its live prefixes and their caches. The beam is
 /// over once no prefix is live.
+///
+/// Every buffer is kept for the whole search: a step writes its survivors
+/// and its extended caches into the `next_*` buffers and swaps them in, so
+/// once the buffers have grown to the beam's width a step makes no heap
+/// allocation.
 struct BeamState<'a> {
     graph: &'a JoinGraph,
     /// Live prefixes, in beam order.
     beams: Vec<Beam>,
+    /// Their slots, flat: every live prefix has chosen `len` slots.
+    slots: Vec<usize>,
+    len: usize,
     /// The previous step's extended caches, one per then-live prefix
     /// (only the empty cache before the first step).
     kv: Vec<KvCache>,
-    /// Extension scratch, reused across steps.
+    /// Extension scratch.
     next: Vec<Extension>,
+    /// The survivors and the step's extended caches, before the swap.
+    next_beams: Vec<Beam>,
+    next_slots: Vec<usize>,
+    next_kv: Vec<KvCache>,
 }
 
 impl<'a> BeamState<'a> {
-    fn new(graph: &'a JoinGraph) -> Self {
+    fn new(graph: &'a JoinGraph, width: usize) -> Self {
+        let m = graph.len();
+        let mut kv = Vec::with_capacity(width);
+        kv.push(KvCache::default());
+        let mut beams = Vec::with_capacity(width);
+        beams.push(Beam {
+            log_prob: 0.0,
+            past: 0,
+        });
         Self {
             graph,
-            beams: vec![Beam {
-                slots: Vec::new(),
-                log_prob: 0.0,
-                past: 0,
-            }],
-            kv: vec![KvCache::default()],
-            next: Vec::new(),
+            beams,
+            slots: Vec::with_capacity(width * m),
+            len: 0,
+            kv,
+            next: Vec::with_capacity(width * m),
+            next_beams: Vec::with_capacity(width),
+            next_slots: Vec::with_capacity(width * m),
+            next_kv: Vec::with_capacity(width),
         }
     }
 
-    /// Applies one step's logits and extended caches (one row and one
-    /// cache per live prefix, in beam order): proposes extensions, keeps
-    /// the top `width` by stable sort, and materializes the surviving
-    /// prefixes, each inheriting its parent's extended cache.
-    fn advance(&mut self, logits: &Matrix, kv: Vec<KvCache>, legality: Legality, width: usize) {
+    /// Slots of prefix `i`, as laid out in `slots` by `len`.
+    fn prefix(slots: &[usize], len: usize, i: usize) -> &[usize] {
+        &slots[i * len..(i + 1) * len]
+    }
+
+    /// One decoded step: the logits and extended caches of every live
+    /// prefix in one [`TransJo::step_logits_into`] call, then
+    /// [`Self::advance`].
+    // lint: hot-path
+    fn step(&mut self, jo: &TransJo, cache: &DecodeCache, legality: Legality, width: usize) {
+        let (beams, slots, kv, len) = (&self.beams, &self.slots, &self.kv, self.len);
+        let logits = jo.step_logits_into(
+            cache,
+            beams.len(),
+            |i| StepEntry {
+                prefix: Self::prefix(slots, len, i),
+                past: &kv[beams[i].past],
+            },
+            &mut self.next_kv,
+        );
+        std::mem::swap(&mut self.kv, &mut self.next_kv);
+        self.advance(&logits, legality, width);
+    }
+
+    /// Applies one step's logits (one row per live prefix, in beam order):
+    /// proposes extensions, keeps the top `width`, and materializes the
+    /// surviving prefixes, each inheriting its parent's extended cache.
+    /// The order is the stable sort's by descending log-probability:
+    /// equal log-probabilities keep proposal order, which is ascending
+    /// `(parent, slot)`.
+    // lint: hot-path
+    fn advance(&mut self, logits: &Matrix, legality: Legality, width: usize) {
         debug_assert_eq!(logits.rows(), self.beams.len());
-        debug_assert_eq!(kv.len(), self.beams.len());
+        debug_assert_eq!(self.kv.len(), self.beams.len());
+        let len = self.len;
         self.next.clear();
         for (i, beam) in self.beams.iter().enumerate() {
             extend_prefix(
                 logits.row(i),
-                &beam.slots,
+                Self::prefix(&self.slots, len, i),
                 i as u32,
                 beam.log_prob,
                 self.graph,
@@ -245,25 +295,26 @@ impl<'a> BeamState<'a> {
                 &mut self.next,
             );
         }
-        self.next.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
+        self.next.sort_unstable_by(|a, b| {
+            b.log_prob
+                .total_cmp(&a.log_prob)
+                .then(a.parent.cmp(&b.parent))
+                .then(a.slot.cmp(&b.slot))
+        });
         self.next.truncate(width);
-        let survivors: Vec<Beam> = self
-            .next
-            .iter()
-            .map(|e| {
-                let parent = &self.beams[e.parent as usize].slots;
-                let mut slots = Vec::with_capacity(parent.len() + 1);
-                slots.extend_from_slice(parent);
-                slots.push(e.slot as usize);
-                Beam {
-                    slots,
-                    log_prob: e.log_prob,
-                    past: e.parent as usize,
-                }
-            })
-            .collect();
-        self.beams = survivors;
-        self.kv = kv;
+        self.next_beams.clear();
+        self.next_slots.clear();
+        for e in &self.next {
+            let parent = e.parent as usize;
+            self.next_slots
+                .extend_from_slice(Self::prefix(&self.slots, len, parent));
+            self.next_slots.push(e.slot as usize);
+            self.next_beams.push(Beam {
+                log_prob: e.log_prob,
+                past: parent,
+            });
+        }
+        self.swap_in_next();
     }
 
     /// The forced last step: every live prefix has exactly one table left,
@@ -272,33 +323,50 @@ impl<'a> BeamState<'a> {
     /// unchanged, or drops out if legality forbids it. Beam order is kept,
     /// and it is already descending by log-probability.
     fn advance_forced(&mut self, legality: Legality) {
-        let graph = self.graph;
-        self.beams.retain_mut(|beam| {
-            let chosen = chosen_set(&beam.slots);
+        let (graph, len) = (self.graph, self.len);
+        self.next_beams.clear();
+        self.next_slots.clear();
+        for (i, beam) in self.beams.iter().enumerate() {
+            let prefix = Self::prefix(&self.slots, len, i);
+            let chosen = chosen_set(prefix);
             let Some(last) = (0..graph.len()).find(|&s| chosen & (1 << s) == 0) else {
-                return false;
+                continue;
             };
-            let keep = allowed_slots(graph, chosen, legality) & (1 << last) != 0;
-            if keep {
-                beam.slots.push(last);
+            if allowed_slots(graph, chosen, legality) & (1 << last) != 0 {
+                self.next_slots.extend_from_slice(prefix);
+                self.next_slots.push(last);
+                self.next_beams.push(*beam);
             }
-            keep
-        });
+        }
+        self.swap_in_next();
+    }
+
+    /// Makes the survivors in `next_beams`/`next_slots` the live prefixes,
+    /// one slot longer.
+    fn swap_in_next(&mut self) {
+        std::mem::swap(&mut self.beams, &mut self.next_beams);
+        std::mem::swap(&mut self.slots, &mut self.next_slots);
+        self.len += 1;
     }
 
     /// Full-length candidates, legality-checked and sorted by descending
     /// log-probability.
     fn finish(self) -> Vec<BeamCandidate> {
-        let m = self.graph.len();
         let graph = self.graph;
+        if self.len != graph.len() {
+            return Vec::new();
+        }
         let mut out: Vec<BeamCandidate> = self
             .beams
-            .into_iter()
-            .filter(|beam| beam.slots.len() == m)
-            .map(|beam| BeamCandidate {
-                legal: graph.check_left_deep(&beam.slots).is_ok(),
-                slots: beam.slots,
-                log_prob: beam.log_prob,
+            .iter()
+            .enumerate()
+            .map(|(i, beam)| {
+                let slots = Self::prefix(&self.slots, self.len, i);
+                BeamCandidate {
+                    legal: graph.check_left_deep(slots).is_ok(),
+                    slots: slots.to_vec(),
+                    log_prob: beam.log_prob,
+                }
             })
             .collect();
         out.sort_by(|a, b| b.log_prob.total_cmp(&a.log_prob));
@@ -307,11 +375,10 @@ impl<'a> BeamState<'a> {
 }
 
 /// Runs left-deep beam search for one query under `config`, over a
-/// [`DecodeCache`](crate::transjo::DecodeCache) of the shared
-/// representation `memory` and the query tables' scan-node rows
-/// `table_reps`. Every step decodes one new row per
+/// [`DecodeCache`] of the shared representation `memory` and the query
+/// tables' scan-node rows `table_reps`. Every step decodes one new row per
 /// live prefix in **one** incremental decoder step
-/// ([`TransJo::step_logits_batch`]), each row attending over the cache its
+/// ([`TransJo::step_logits_into`]), each row attending over the cache its
 /// prefix inherited from its parent; the forced last step is applied
 /// without decoding. Candidates are returned sorted by descending
 /// log-probability.
@@ -324,7 +391,7 @@ pub fn beam_search(
 ) -> Vec<BeamCandidate> {
     let cache = jo.decode_cache(memory, table_reps);
     let width = config.width.max(1);
-    let mut state = BeamState::new(graph);
+    let mut state = BeamState::new(graph, width);
     for step in 0..graph.len() {
         if state.beams.is_empty() {
             break;
@@ -333,16 +400,7 @@ pub fn beam_search(
             state.advance_forced(config.legality);
             break;
         }
-        let entries: Vec<StepEntry> = state
-            .beams
-            .iter()
-            .map(|beam| StepEntry {
-                prefix: &beam.slots,
-                past: &state.kv[beam.past],
-            })
-            .collect();
-        let (logits, kv) = jo.step_logits_batch(&cache, &entries);
-        state.advance(&logits, kv, config.legality, width);
+        state.step(jo, &cache, config.legality, width);
     }
     state.finish()
 }

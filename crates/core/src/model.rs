@@ -4,7 +4,7 @@ use crate::beam::beam_search;
 use crate::config::MtmlfConfig;
 use crate::error::MtmlfError;
 use crate::featurize::FeaturizationModule;
-use crate::serialize::serialize_plan;
+use crate::serialize::{reserialize_plan, serialize_plan, SerializedPlan};
 use crate::shared::SharedModule;
 use crate::tasks::TaskHeads;
 use crate::train::{prepare_sample, run_training};
@@ -164,18 +164,34 @@ impl MtmlfQo {
     }
 
     /// The model's `(cardinality, cost)` estimates for the root of `plan`
-    /// alone: the root is the last node in post-order, and the heads run
-    /// on its row only (they are row-local, so this is exactly the last
-    /// entry of [`Self::predict_nodes`]).
+    /// alone: exactly the last entry of [`Self::predict_nodes`].
     fn predict_root(&self, query: &Query, plan: &PlanNode) -> Result<(f64, f64)> {
-        let serialized = serialize_plan(&self.featurization, query, plan, &self.config)?;
-        let s = self.shared.infer(&serialized.features);
-        let root = s.slice_rows(s.rows().saturating_sub(1), s.rows());
+        self.estimate_root(&serialize_plan(
+            &self.featurization,
+            query,
+            plan,
+            &self.config,
+        )?)
+    }
+
+    /// The `(cardinality, cost)` estimates for the root of a serialized
+    /// plan. The root is the last node in post-order, and only its row
+    /// runs through the last encoder block and the heads
+    /// ([`SharedModule::infer_rows`]); all of them are row-local, so this
+    /// is exactly the root's entry of the full forward.
+    pub(crate) fn estimate_root(&self, serialized: &SerializedPlan) -> Result<(f64, f64)> {
+        let no_nodes = || MtmlfError::Internal("estimated plan has no nodes".into());
+        let root = serialized
+            .features
+            .rows()
+            .checked_sub(1)
+            .ok_or_else(no_nodes)?;
+        let shared = self.shared.infer_rows(&serialized.features, &[root]);
         self.heads
-            .estimates(&root)
+            .estimates(&shared)
             .first()
             .copied()
-            .ok_or_else(|| MtmlfError::Internal("predicted plan has no nodes".into()))
+            .ok_or_else(no_nodes)
     }
 
     /// Recommends the access path for each query table — the
@@ -188,11 +204,12 @@ impl MtmlfQo {
         plan: &PlanNode,
     ) -> Result<Vec<(mtmlf_storage::TableId, mtmlf_query::ScanOp)>> {
         let serialized = serialize_plan(&self.featurization, query, plan, &self.config)?;
-        let s = self.shared.infer(&serialized.features);
-        // The advisor head reads the scan nodes' rows only.
-        let logits = self
-            .heads
-            .infer_advisor(&s.gather_rows(&serialized.scan_node_of_slot));
+        // The advisor head reads the scan nodes' rows only, so only those
+        // run through the last encoder block.
+        let scans = self
+            .shared
+            .infer_rows(&serialized.features, &serialized.scan_node_of_slot);
+        let logits = self.heads.infer_advisor(&scans);
         Ok(serialized
             .table_slots
             .iter()
@@ -253,13 +270,19 @@ impl MtmlfQo {
     /// guaranteed executable.
     pub fn predict_join_order(&self, query: &Query, plan: &PlanNode) -> Result<JoinOrder> {
         self.beam_orders(query, plan)?
+            .1
             .into_iter()
             .next()
             .ok_or(MtmlfError::NoLegalOrder)
     }
 
-    /// The legality-constrained beam's candidate orders, best-first.
-    fn beam_orders(&self, query: &Query, plan: &PlanNode) -> Result<Vec<JoinOrder>> {
+    /// The legality-constrained beam's candidate orders, best-first, with
+    /// the serialization of `plan` they were decoded from.
+    fn beam_orders(
+        &self,
+        query: &Query,
+        plan: &PlanNode,
+    ) -> Result<(SerializedPlan, Vec<JoinOrder>)> {
         let serialized = serialize_plan(&self.featurization, query, plan, &self.config)?;
         let s = self.shared.infer(&serialized.features);
         let table_reps = s.gather_rows(&serialized.scan_node_of_slot);
@@ -275,7 +298,7 @@ impl MtmlfQo {
         if candidates.is_empty() {
             return Err(MtmlfError::NoLegalOrder);
         }
-        Ok(candidates
+        let orders = candidates
             .into_iter()
             .map(|c| {
                 JoinOrder::LeftDeep(
@@ -285,7 +308,8 @@ impl MtmlfQo {
                         .collect(),
                 )
             })
-            .collect())
+            .collect();
+        Ok((serialized, orders))
     }
 
     /// Multi-task consistent inference (the paper's Section 2.3: "the
@@ -297,11 +321,16 @@ impl MtmlfQo {
     /// MTMLF-JoinSel ablation has no trained cost head and cannot veto a
     /// catastrophic candidate, which is one mechanism behind Table 2's
     /// joint ≻ single-task gap.
+    ///
+    /// Each candidate reuses the scan rows of the beam's own serialization
+    /// ([`reserialize_plan`]) and is scored on its root row alone
+    /// ([`Self::estimate_root`]).
     pub fn predict_join_order_costed(&self, query: &Query, plan: &PlanNode) -> Result<JoinOrder> {
-        let candidates = self.beam_orders(query, plan)?;
+        let (initial, candidates) = self.beam_orders(query, plan)?;
         let mut best: Option<(f64, JoinOrder)> = None;
         for order in candidates {
-            let (_, root_cost) = self.predict_root(query, &order.to_plan()?)?;
+            let candidate = reserialize_plan(&initial, query, &order.to_plan()?, &self.config)?;
+            let (_, root_cost) = self.estimate_root(&candidate)?;
             if best.as_ref().is_none_or(|(c, _)| root_cost < *c) {
                 best = Some((root_cost, order));
             }
@@ -342,10 +371,6 @@ impl MtmlfQo {
 
     pub(crate) fn shared_module(&self) -> &SharedModule {
         &self.shared
-    }
-
-    pub(crate) fn heads_module(&self) -> &TaskHeads {
-        &self.heads
     }
 
     pub(crate) fn jo_module(&self) -> &TransJo {

@@ -54,6 +54,67 @@ pub fn serialize_plan(
     plan: &PlanNode,
     config: &MtmlfConfig,
 ) -> Result<SerializedPlan> {
+    let graph = || Ok(query.join_graph()?);
+    serialize(query, plan, config, graph, |_, table, dst| {
+        let rows = module.table_rows(table);
+        let (embedding, logcard) =
+            module.table_embedding_with_logcard(table, query.filters_on(table))?;
+        dst[0] = ((rows as f32) + 1.0).log2() / 32.0;
+        dst[1] = logcard / 32.0;
+        for (d, &v) in dst[2..].iter_mut().zip(embedding.row(0)) {
+            *d = v;
+        }
+        Ok(())
+    })
+}
+
+/// Serializes another plan of the query that `like` is a serialization of,
+/// without running a table encoder: a scan node's table columns (log
+/// size, the encoder's log-cardinality and the table embedding) depend on
+/// its table and that table's filters only, so they are copied from
+/// `like`'s scan rows. Bitwise-equal to [`serialize_plan`] of `plan`; the
+/// served path serializes the beam's chosen plan this way, and the
+/// cost re-rank each of its candidates.
+///
+/// Fails if `like` has other tables than `query`; the caller must pass a
+/// serialization of this very query, filters included.
+pub fn reserialize_plan(
+    like: &SerializedPlan,
+    query: &Query,
+    plan: &PlanNode,
+    config: &MtmlfConfig,
+) -> Result<SerializedPlan> {
+    if like.table_slots != query.tables() {
+        return Err(MtmlfError::Internal(
+            "reserialize_plan: the serialized plan is of another query".into(),
+        ));
+    }
+    let graph = || Ok(like.graph.clone());
+    serialize(query, plan, config, graph, |slot, _, dst| {
+        let from = like.features.row(like.scan_node_of_slot[slot]);
+        dst.copy_from_slice(&from[scan_columns(config)]);
+        Ok(())
+    })
+}
+
+/// The columns of a scan node's table features: log table size, the
+/// encoder's log filtered size, then the table embedding.
+fn scan_columns(config: &MtmlfConfig) -> std::ops::Range<usize> {
+    let size_col = config.max_query_tables + OP_SLOTS;
+    size_col..size_col + 2 + config.d_model
+}
+
+/// The serializer behind [`serialize_plan`] and [`reserialize_plan`]:
+/// `scan_features(slot, table, dst)` fills a scan node's
+/// [`scan_columns`], `graph` gives the query's join graph once the nodes
+/// are serialized, and everything else is computed here.
+fn serialize(
+    query: &Query,
+    plan: &PlanNode,
+    config: &MtmlfConfig,
+    graph: impl FnOnce() -> Result<JoinGraph>,
+    mut scan_features: impl FnMut(usize, TableId, &mut [f32]) -> Result<()>,
+) -> Result<SerializedPlan> {
     let table_slots: Vec<TableId> = query.tables().to_vec();
     if table_slots.len() > config.max_query_tables {
         return Err(MtmlfError::TooManyQueryTables {
@@ -72,6 +133,9 @@ pub fn serialize_plan(
     let t_slots = config.max_query_tables;
     let mut features = Matrix::zeros(nodes.len(), width);
     let mut scan_node_of_slot = vec![usize::MAX; table_slots.len()];
+    let op_base = t_slots;
+    let join_base = scan_columns(config).end;
+    let pos_base = join_base + t_slots;
 
     for (i, node) in nodes.iter().enumerate() {
         // Touched-tables multi-hot.
@@ -84,12 +148,6 @@ pub fn serialize_plan(
             }
             features.set(i, slot_of(t)?, 1.0);
         }
-        let op_base = t_slots;
-        let size_col = t_slots + OP_SLOTS;
-        let logcard_col = size_col + 1;
-        let embed_base = logcard_col + 1;
-        let join_base = embed_base + config.d_model;
-        let pos_base = join_base + t_slots;
         match node {
             PlanNode::Scan { table, op } => {
                 features.set(
@@ -101,15 +159,9 @@ pub fn serialize_plan(
                         },
                     1.0,
                 );
-                let rows = module.table_rows(*table);
-                features.set(i, size_col, ((rows as f32) + 1.0).log2() / 32.0);
-                let (embedding, logcard) =
-                    module.table_embedding_with_logcard(*table, query.filters_on(*table))?;
-                features.set(i, logcard_col, logcard / 32.0);
-                for (c, &v) in embedding.row(0).iter().enumerate() {
-                    features.set(i, embed_base + c, v);
-                }
-                scan_node_of_slot[slot_of(*table)?] = i;
+                let slot = slot_of(*table)?;
+                scan_features(slot, *table, &mut features.row_mut(i)[scan_columns(config)])?;
+                scan_node_of_slot[slot] = i;
             }
             PlanNode::Join { op, left, right } => {
                 features.set(
@@ -145,7 +197,7 @@ pub fn serialize_plan(
         features,
         table_slots,
         scan_node_of_slot,
-        graph: query.join_graph()?,
+        graph: graph()?,
     })
 }
 
@@ -226,6 +278,39 @@ mod tests {
         let a = serialize_plan(&module, q, &plan, &cfg).unwrap();
         let b = serialize_plan(&module, &unfiltered, &plan, &cfg).unwrap();
         assert_ne!(a.features.data(), b.features.data());
+    }
+
+    #[test]
+    fn reserialized_plans_match_fresh_serializations_bitwise() {
+        let (_, queries, module, cfg) = setup();
+        for q in &queries {
+            let order = mtmlf_exec::executor::greedy_legal_order(q).unwrap();
+            let initial =
+                serialize_plan(&module, q, &PlanNode::left_deep(&order).unwrap(), &cfg).unwrap();
+            // The same tables joined in reverse, as a bushy-free left-deep
+            // plan: other scan positions, same table columns.
+            let mut reversed = order.clone();
+            reversed.reverse();
+            let plan = PlanNode::left_deep(&reversed).unwrap();
+            let fresh = serialize_plan(&module, q, &plan, &cfg).unwrap();
+            let reused = reserialize_plan(&initial, q, &plan, &cfg).unwrap();
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.features), bits(&fresh.features));
+            assert_eq!(reused.table_slots, fresh.table_slots);
+            assert_eq!(reused.scan_node_of_slot, fresh.scan_node_of_slot);
+            assert_eq!(reused.graph, fresh.graph);
+        }
+        // A serialization of another query is refused.
+        let (a, b) = (&queries[0], &queries[1]);
+        assert_ne!(a.tables(), b.tables());
+        let plan_of = |q: &Query| {
+            PlanNode::left_deep(&mtmlf_exec::executor::greedy_legal_order(q).unwrap()).unwrap()
+        };
+        let other = serialize_plan(&module, b, &plan_of(b), &cfg).unwrap();
+        assert!(matches!(
+            reserialize_plan(&other, a, &plan_of(a), &cfg),
+            Err(MtmlfError::Internal(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The shared representation module (S): `Trans_Share`.
 //!
-//! Serving runs it once per plan ([`SharedModule::infer`]); training runs
-//! the tape forward.
+//! Serving runs it over every node of the initial plan
+//! ([`SharedModule::infer`]), and over the chosen plan for its root row
+//! only ([`SharedModule::infer_rows`]); training runs the tape forward.
 
 use crate::config::MtmlfConfig;
 use crate::serialize::raw_width;
@@ -51,6 +52,15 @@ impl SharedModule {
         self.trans_share
             .forward_packed(self.input_proj.infer(features))
     }
+
+    /// The rows `rows` of [`SharedModule::infer`], bitwise, for a caller
+    /// that reads only those (the heads on a plan's root, the advisor on
+    /// its scan nodes): the last encoder block and the final norm run on
+    /// the asked-for rows only ([`TransformerEncoder::forward_rows`]).
+    pub fn infer_rows(&self, features: &Matrix, rows: &[usize]) -> Matrix {
+        self.trans_share
+            .forward_rows(self.input_proj.infer(features), rows)
+    }
 }
 
 impl Module for SharedModule {
@@ -70,5 +80,9 @@ mod tests {
         let s = module.forward(&mut t, &features);
         assert_eq!(t.shape(s), (7, cfg.d_model));
         assert_eq!(&module.infer(&features), t.value(s));
+        assert_eq!(
+            module.infer_rows(&features, &[6, 2]),
+            t.value(s).gather_rows(&[6, 2])
+        );
     }
 }

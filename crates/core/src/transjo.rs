@@ -131,11 +131,12 @@ impl TransJo {
         }
         let memory_kv = self.decoder.memory_kv(memory);
         let mut past = KvCache::default();
+        let mut next = Vec::with_capacity(1);
         let mut decoded = Matrix::zeros(x.rows(), x.cols());
         for r in 0..x.rows() {
-            let (row, mut next) =
+            let row =
                 self.decoder
-                    .forward_step(x.slice_rows(r, r + 1), &[&past], &memory_kv);
+                    .forward_step(x.slice_rows(r, r + 1), |_| &past, &memory_kv, &mut next);
             decoded.row_mut(r).copy_from_slice(row.row(0));
             past = next.pop().unwrap_or_default();
         }
@@ -199,9 +200,10 @@ impl TransJo {
     /// memory's cross-attention keys and values, computed once instead of
     /// once per beam step.
     pub fn decode_cache(&self, memory: &Matrix, table_reps: &Matrix) -> DecodeCache {
+        let [keys, proj] = Linear::infer_each(table_reps, [&self.pointer, &self.input_proj]);
         DecodeCache {
-            keys: self.pointer.infer(table_reps),
-            proj: self.input_proj.infer(table_reps),
+            keys,
+            proj,
             memory_kv: self.decoder.memory_kv(memory),
         }
     }
@@ -222,37 +224,54 @@ impl TransJo {
         cache: &DecodeCache,
         entries: &[StepEntry<'_>],
     ) -> (Matrix, Vec<KvCache>) {
-        if entries.is_empty() {
-            return (Matrix::zeros(0, cache.tables()), Vec::new());
+        let mut next = Vec::with_capacity(entries.len());
+        let logits = self.step_logits_into(cache, entries.len(), |r| entries[r], &mut next);
+        (logits, next)
+    }
+
+    /// [`Self::step_logits_batch`] over the `n` entries `entry(0..n)`,
+    /// leaving the extended caches in `next`, whose handles it reuses: the
+    /// form the beam calls at every step, so that a step builds no entry
+    /// list and no cache list of its own.
+    // lint: hot-path
+    pub fn step_logits_into<'a>(
+        &self,
+        cache: &DecodeCache,
+        n: usize,
+        entry: impl Fn(usize) -> StepEntry<'a>,
+        next: &mut Vec<KvCache>,
+    ) -> Matrix {
+        if n == 0 {
+            next.clear();
+            return Matrix::zeros(0, cache.tables());
         }
         // One new input row per entry, written in place: the same
         // element-wise sums the per-sequence concat-and-add formulation
         // produces for the prefix's last row.
-        let xm = {
-            let (start, pos) = (&self.start, &self.step_pos);
-            let mut xm = Matrix::zeros(entries.len(), start.cols());
-            for (r, e) in entries.iter().enumerate() {
-                debug_assert_eq!(e.past.len(), e.prefix.len());
-                let src = match e.prefix.last() {
-                    Some(&slot) => cache.proj.row(slot),
-                    None => start.row(0),
-                };
-                for ((o, &a), &b) in xm
-                    .row_mut(r)
-                    .iter_mut()
-                    .zip(src)
-                    .zip(pos.row(e.prefix.len()))
-                {
-                    *o = a + b;
-                }
+        let (start, pos) = (&self.start, &self.step_pos);
+        let mut xm = Matrix::zeros(n, start.cols());
+        for r in 0..n {
+            let e = entry(r);
+            debug_assert_eq!(e.past.len(), e.prefix.len());
+            let src = match e.prefix.last() {
+                Some(&slot) => cache.proj.row(slot),
+                None => start.row(0),
+            };
+            for ((o, &a), &b) in xm
+                .row_mut(r)
+                .iter_mut()
+                .zip(src)
+                .zip(pos.row(e.prefix.len()))
+            {
+                *o = a + b;
             }
-            xm
-        };
-        let past: Vec<&KvCache> = entries.iter().map(|e| e.past).collect();
-        let (decoded, next) = self.decoder.forward_step(xm, &past, &cache.memory_kv);
+        }
+        let decoded = self
+            .decoder
+            .forward_step(xm, |r| entry(r).past, &cache.memory_kv, next);
         // Point every decoded row at the query's keys: one `(n, d) × (m, d)ᵀ`
         // product.
-        (decoded.matmul_nt(&cache.keys), next)
+        decoded.matmul_nt(&cache.keys)
     }
 }
 

@@ -91,101 +91,85 @@ impl MultiHeadAttention {
         self.wo.forward(t, concat)
     }
 
-    /// Self-attention over one sequence for the inference encode path:
-    /// [`Self::forward`] with `query == keys_values` and no mask, on plain
-    /// values. The q/k/v/output projections run as one matmul each; each
-    /// head gathers its columns and runs [`Self::attend_head`].
+    /// Inference [`Self::forward`] with no mask, on plain values: every
+    /// row of `query` attends over the rows of `keys_values`. Each
+    /// projection runs as one matmul, and the attention itself as one
+    /// score GEMM and one value GEMM per head ([`Self::attend`]).
     ///
     /// The output is bitwise-identical to [`Self::forward`]: the same
-    /// arithmetic, in the same ascending order.
-    // lint: hot-path
-    pub fn forward_segmented(&self, x: &Matrix) -> Matrix {
-        crate::profile::record_attention();
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let (rows, d_model) = q.shape();
-
-        let hd = self.head_dim;
-        let mut concat = Matrix::zeros(rows, d_model);
-        // Per-head column gathers (the same copies `slice_cols` makes) and
-        // score/output scratch, all pooled, so the steady-state serve loop
-        // allocates nothing here.
-        let mut qh = crate::kernel::take(rows * hd, 0.0);
-        let mut kh = crate::kernel::take(rows * hd, 0.0);
-        let mut vh = crate::kernel::take(rows * hd, 0.0);
-        let mut scores = crate::kernel::take_empty(rows * rows);
-        let mut out = crate::kernel::take_empty(rows * hd);
-        for h in 0..self.heads {
-            let lo = h * hd;
-            for (r, ((dq, dk), dv)) in qh
-                .chunks_exact_mut(hd)
-                .zip(kh.chunks_exact_mut(hd))
-                .zip(vh.chunks_exact_mut(hd))
-                .enumerate()
-            {
-                dq.copy_from_slice(&q.row(r)[lo..lo + hd]);
-                dk.copy_from_slice(&k.row(r)[lo..lo + hd]);
-                dv.copy_from_slice(&v.row(r)[lo..lo + hd]);
-            }
-            self.attend_head(&qh, &kh, &vh, false, &mut scores, &mut out);
-            for (r, src) in out.chunks_exact(hd).enumerate() {
-                concat.row_mut(r)[lo..lo + hd].copy_from_slice(src);
-            }
-        }
-        crate::kernel::recycle(qh);
-        crate::kernel::recycle(kh);
-        crate::kernel::recycle(vh);
-        crate::kernel::recycle(scores);
-        crate::kernel::recycle(out);
-        self.wo.infer(&concat)
+    /// arithmetic, in the same ascending order, and every step is
+    /// row-local in the query. So the encoder gets a subset of a
+    /// sequence's self-attention rows by passing just those rows as
+    /// `query`.
+    pub fn infer(&self, query: &Matrix, keys_values: &Matrix) -> Matrix {
+        self.infer_cached(query, &self.project_kv(keys_values))
     }
 
-    /// The keys and values of the sequence `x` (`wk(x)`, `wv(x)`), cached
-    /// head-major. The decoder projects each query's encoder memory once
-    /// with this and reuses it at every decode step.
+    /// [`Self::infer`] with `query == keys_values`, self-attention over a
+    /// whole sequence: the query, key and value projections run as one
+    /// GEMM ([`Linear::infer_each`]).
+    pub fn infer_self(&self, x: &Matrix) -> Matrix {
+        crate::profile::record_attention();
+        let [q, k, v] = Linear::infer_each(x, [&self.wq, &self.wk, &self.wv]);
+        self.attend(&q, &self.head_major(None, &k, &v, 0..x.rows()))
+    }
+
+    /// The keys and values of the sequence `x` (`wk(x)`, `wv(x)`, in one
+    /// GEMM), cached head-major. The decoder projects each query's encoder
+    /// memory once with this and reuses it at every decode step.
     pub(crate) fn project_kv(&self, x: &Matrix) -> HeadKv {
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
+        let [k, v] = Linear::infer_each(x, [&self.wk, &self.wv]);
         self.head_major(None, &k, &v, 0..x.rows())
     }
 
-    /// Appends one position to each of several caches: row `i` of `x`'s
-    /// key and value projections goes after `past[i]`'s positions (`None`
-    /// is an empty cache). All rows go through `wk`/`wv` as one packed
-    /// matmul; every cache comes back as a fresh buffer, so prefixes that
-    /// share a parent cache never alias.
-    pub(crate) fn extend_kv(&self, past: &[Option<&HeadKv>], x: &Matrix) -> Vec<HeadKv> {
-        debug_assert_eq!(past.len(), x.rows());
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        past.iter()
-            .enumerate()
-            .map(|(i, p)| self.head_major(*p, &k, &v, i..i + 1))
-            .collect()
+    /// Projects one new row per cache for the incremental decode path, in
+    /// one GEMM: row `i` of `x`'s key and value go after `past(i)`'s
+    /// positions (`None` is an empty cache) and `sink(i, extended)` takes
+    /// the result; the rows' queries are returned, for
+    /// [`Self::forward_cached`] over the extended caches. Every cache comes
+    /// back as a fresh buffer, so prefixes that share a parent cache never
+    /// alias.
+    pub(crate) fn project_step<'k>(
+        &self,
+        past: impl Fn(usize) -> Option<&'k HeadKv>,
+        x: &Matrix,
+        mut sink: impl FnMut(usize, HeadKv),
+    ) -> Matrix {
+        let [q, k, v] = Linear::infer_each(x, [&self.wq, &self.wk, &self.wv]);
+        for i in 0..x.rows() {
+            sink(i, self.head_major(past(i), &k, &v, i..i + 1));
+        }
+        q
     }
 
-    /// Attention of one query row per cache for the incremental decode
-    /// path: row `i` of `query` attends over the positions of `kv(i)`.
-    /// With `causal`, `kv(i)` ends with row `i`'s own position (see
-    /// [`Self::extend_kv`]), so the row is the *last* row of a causal
-    /// prefix; otherwise it is a cross-attention row over a whole memory
-    /// (every row may read the same one).
+    /// Cross-attention of every row of `query` over one cached memory
+    /// `kv` ([`Self::project_kv`]) for the incremental decode path:
+    /// [`Self::infer`] with the memory's projections computed once per
+    /// query instead of once per decode step.
+    pub(crate) fn infer_cached(&self, query: &Matrix, kv: &HeadKv) -> Matrix {
+        crate::profile::record_attention();
+        self.attend(&self.wq.infer(query), kv)
+    }
+
+    /// Causal self-attention of one query row per cache for the
+    /// incremental decode path: row `i` of the projected queries `q` (from
+    /// [`Self::project_step`]) attends over the positions of `kv(i)`, which
+    /// ends with row `i`'s own position, so the row is the *last* row of a
+    /// causal prefix. Each row has its own keys, so each runs its own two
+    /// GEMMs per head.
     ///
     /// Each output row is bitwise-identical to that row of
-    /// [`Self::forward`] over the whole sequence (with
-    /// [`Self::causal_mask`] when `causal`): causal rows never depend on
-    /// later rows, the last row's mask row is all `+0.0`, and the scores,
-    /// softmax, and weighted sum are row-local in the same ascending order.
+    /// [`Self::forward`] over the whole sequence with
+    /// [`Self::causal_mask`]: causal rows never depend on later rows, the
+    /// last row's mask row is all `+0.0`, and the scores, softmax, and
+    /// weighted sum are row-local in the same ascending order.
     // lint: hot-path
     pub(crate) fn forward_cached<'k>(
         &self,
-        query: &Matrix,
+        q: &Matrix,
         kv: impl Fn(usize) -> &'k HeadKv,
-        causal: bool,
     ) -> Matrix {
         crate::profile::record_attention();
-        let q = self.wq.infer(query);
         let (rows, d_model) = q.shape();
         let hd = self.head_dim;
         let mut concat = Matrix::zeros(rows, d_model);
@@ -200,7 +184,7 @@ impl MultiHeadAttention {
                     &q.row(i)[lo..lo + hd],
                     cache.block(h),
                     cache.block(self.heads + h),
-                    causal,
+                    true,
                     &mut scores,
                     &mut out,
                 );
@@ -212,13 +196,53 @@ impl MultiHeadAttention {
         self.wo.infer(&concat)
     }
 
+    /// Every row of the projected queries `q` (`(rows, d_model)`, heads
+    /// side by side) over the cached keys and values `kv`, then the output
+    /// projection. Each head gathers its query columns into one
+    /// contiguous block and runs [`Self::attend_head`] once over all rows.
+    /// The gathers and the score/output scratch are pooled, so the
+    /// steady-state serve loop allocates nothing here.
+    // lint: hot-path
+    fn attend(&self, q: &Matrix, kv: &HeadKv) -> Matrix {
+        let (rows, d_model) = q.shape();
+        let hd = self.head_dim;
+        let mut concat = Matrix::zeros(rows, d_model);
+        let mut qh = crate::kernel::take(rows * hd, 0.0);
+        let mut scores = crate::kernel::take_empty(rows * kv.len());
+        let mut out = crate::kernel::take_empty(rows * hd);
+        for h in 0..self.heads {
+            let lo = h * hd;
+            for (r, dq) in qh.chunks_exact_mut(hd).enumerate() {
+                dq.copy_from_slice(&q.row(r)[lo..lo + hd]);
+            }
+            self.attend_head(
+                &qh,
+                kv.block(h),
+                kv.block(self.heads + h),
+                false,
+                &mut scores,
+                &mut out,
+            );
+            for (r, src) in out.chunks_exact(hd).enumerate() {
+                concat.row_mut(r)[lo..lo + hd].copy_from_slice(src);
+            }
+        }
+        crate::kernel::recycle(qh);
+        crate::kernel::recycle(scores);
+        crate::kernel::recycle(out);
+        self.wo.infer(&concat)
+    }
+
     /// One head of scaled dot-product attention: the query rows `q` over
     /// the key/value rows `k`/`v` (all contiguous, `head_dim` wide), into
     /// `out`. The per-sequence path's ops in its order: [`crate::kernel::gemm`]
     /// scores, scale (plus mask), [`softmax_row`], and the zero-skipping
-    /// `scores·V` GEMM. With `causal`, the single query row is the newest
-    /// position of its key block; its causal-mask row is all `+0.0`, added
-    /// literally as [`Self::forward`] adds [`Self::causal_mask`].
+    /// `scores·V` GEMM. Every output row depends on its own query row
+    /// only, so one call over many query rows gives each row the bits a
+    /// call over that row alone gives. With `causal`, the single query row
+    /// is the newest position of its key block; its causal-mask row is all
+    /// `+0.0`, added literally as [`Self::forward`] adds
+    /// [`Self::causal_mask`].
     fn attend_head(
         &self,
         q: &[f32],
@@ -409,25 +433,34 @@ mod tests {
         let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
         for rows in [0usize, 1, 4] {
             let x = Matrix::xavier(rows, 8, &mut rng);
-            // Self-attention over the sequence.
+            // Self-attention over the sequence, and over it for the last
+            // row only.
             let tape = tape_forward(&attn, &x, &x, None);
-            let packed = attn.forward_segmented(&x);
+            let packed = attn.infer_self(&x);
             assert_eq!(packed.shape(), tape.shape());
-            assert_eq!(bits(&packed), bits(&tape), "segmented, {rows} rows");
-            // Cross-attention of every row over a cached memory, and the
-            // causal last row over the cached prefix.
+            assert_eq!(bits(&packed), bits(&tape), "self, {rows} rows");
+            assert_eq!(bits(&attn.infer(&x, &x)), bits(&tape), "self, unfused");
+            if rows > 0 {
+                let last = attn.infer(&x.slice_rows(rows - 1, rows), &x);
+                assert_eq!(bits(&last), bits(&tape.slice_rows(rows - 1, rows)));
+            }
+            // Cross-attention of every row over a memory, projected per
+            // call and cached, and the causal last row over the cached
+            // prefix.
             let memory = Matrix::xavier(3, 8, &mut rng);
             let tape = tape_forward(&attn, &x, &memory, None);
+            assert_eq!(bits(&attn.infer(&x, &memory)), bits(&tape), "cross");
             let kv = attn.project_kv(&memory);
-            let cached = attn.forward_cached(&x, |_| &kv, false);
+            let cached = attn.infer_cached(&x, &kv);
             assert_eq!(bits(&cached), bits(&tape), "cached cross, {rows} rows");
             if rows > 0 {
                 let mask = MultiHeadAttention::causal_mask(rows);
                 let tape = tape_forward(&attn, &x, &x, Some(&mask));
                 let prefix = attn.project_kv(&x.slice_rows(0, rows - 1));
                 let last = x.slice_rows(rows - 1, rows);
-                let kv = attn.extend_kv(&[Some(&prefix)], &last);
-                let row = attn.forward_cached(&last, |_| &kv[0], true);
+                let mut kv = Vec::new();
+                let q = attn.project_step(|_| Some(&prefix), &last, |_, c| kv.push(c));
+                let row = attn.forward_cached(&q, |_| &kv[0]);
                 assert_eq!(bits(&row), bits(&tape.slice_rows(rows - 1, rows)));
             }
         }

@@ -4,8 +4,10 @@
 //!
 //! 1. **One GEMM.** [`gemm`] is the plain triple loop: `i-k-j` order with a
 //!    zero skip for row-major `B`, a per-element dot product for
-//!    transposed `B`. Every output element accumulates its `k` products in
-//!    ascending order into a single accumulator. The planner's products are
+//!    transposed `B`; [`gemm_each`] runs the row-major loop over several
+//!    `B`s that share one `A` in a single pass. Every output element
+//!    accumulates its `k` products in ascending order into a single
+//!    accumulator. The planner's products are
 //!    small (about a hundred of a few kFLOP each per plan), so GEMM
 //!    arithmetic is a few percent of a plan and tiling or threading has
 //!    nothing to win.
@@ -222,6 +224,45 @@ pub(crate) fn gemm(
                 for (j, o) in out_row.iter_mut().enumerate() {
                     let b_row = &b[j * k..(j + 1) * k];
                     *o = a_row.iter().zip(b_row).map(|(&x, &y)| x * y).sum();
+                }
+            }
+        }
+    }
+}
+
+/// `outs[j] += A·B_j` for `N` row-major `k×n_j` operands `B_j` (each
+/// `out_j` zeroed and `m·n_j` sized), in one pass over `A`: [`gemm`]'s
+/// `i-k-j` loop, walking the matching row of every `B_j` for each nonzero
+/// `A` element. Every output element accumulates the same products in the
+/// same ascending order as a [`gemm`] with its own `B_j` alone, so the
+/// outputs are bitwise those of `N` separate products; layers that read
+/// one input (attention's query, key and value projections) run as one
+/// call.
+pub(crate) fn gemm_each<const N: usize>(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    bs: [&[f32]; N],
+    mut outs: [&mut [f32]; N],
+) {
+    debug_assert_eq!(a.len(), m * k);
+    if k == 0 {
+        return;
+    }
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let mut out_rows = outs.each_mut().map(|out| {
+            let n = out.len() / m;
+            &mut out[i * n..(i + 1) * n]
+        });
+        for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (b, out_row) in bs.iter().zip(out_rows.iter_mut()) {
+                let n = out_row.len();
+                for (o, &bv) in out_row.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
+                    *o += av * bv;
                 }
             }
         }

@@ -116,6 +116,18 @@ impl Linear {
         y.add_row_in_place(&self.b);
         y
     }
+
+    /// [`Self::infer`] of every layer in `layers` over the same input `x`,
+    /// bitwise, with all their products in one GEMM call
+    /// ([`Matrix::matmul_each`]): attention's query, key and value
+    /// projections, for one.
+    pub fn infer_each<const N: usize>(x: &Matrix, layers: [&Linear; N]) -> [Matrix; N] {
+        let mut ys = x.matmul_each(layers.map(|l| &l.w));
+        for (y, l) in ys.iter_mut().zip(layers) {
+            y.add_row_in_place(&l.b);
+        }
+        ys
+    }
 }
 
 impl Module for Linear {

@@ -6,7 +6,9 @@
 //! `profile::OpStats` counters reflect this — `allocations` counts arena
 //! *misses* (a genuine heap allocation), `arena_reuses` counts hits.
 //!
-//! `matmul` and `matmul_nt` run [`kernel::gemm`], the one GEMM.
+//! `matmul` and `matmul_nt` run [`kernel::gemm`], the one GEMM;
+//! `matmul_each` runs its row-major loop over several right-hand sides at
+//! once ([`kernel::gemm_each`]).
 
 use crate::kernel;
 use crate::profile;
@@ -166,6 +168,26 @@ impl Matrix {
             &mut out.data,
         );
         out
+    }
+
+    /// `self × others[j]` for every `j`, as one GEMM call over `self`
+    /// ([`kernel::gemm_each`]), bitwise-equal to `N` [`Self::matmul`]s.
+    pub fn matmul_each<const N: usize>(&self, others: [&Matrix; N]) -> [Matrix; N] {
+        let mut flops = 0;
+        for other in others {
+            assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+            flops += 2 * (self.rows * other.cols * self.cols) as u64;
+        }
+        profile::record_matmul(flops);
+        let mut outs = others.map(|other| Matrix::zeros(self.rows, other.cols));
+        kernel::gemm_each(
+            &self.data,
+            self.rows,
+            self.cols,
+            others.map(|other| other.data.as_slice()),
+            outs.each_mut().map(|out| out.data.as_mut_slice()),
+        );
+        outs
     }
 
     /// `self × otherᵀ` without materializing the transpose.

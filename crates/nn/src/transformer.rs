@@ -47,10 +47,27 @@ impl EncoderBlock {
 
     /// Inference forward on plain values: the residual sums land in `x` in
     /// place. Bitwise-equal to [`Self::forward`]; see
-    /// [`MultiHeadAttention::forward_segmented`].
+    /// [`MultiHeadAttention::infer_self`].
     pub fn forward_segmented(&self, mut x: Matrix) -> Matrix {
         crate::profile::record_block_forward();
-        let attended = self.attention.forward_segmented(&self.norm1.infer(&x));
+        let attended = self.attention.infer_self(&self.norm1.infer(&x));
+        x.add_assign(&attended);
+        let fed = self.feed_forward.infer(&self.norm2.infer(&x));
+        x.add_assign(&fed);
+        x
+    }
+
+    /// The rows `rows` of [`Self::forward_segmented`]`(x)`, in the order
+    /// given. Every row of `x` is normalized and projected to keys and
+    /// values, since each output row attends over all of them; the query
+    /// projection, attention, output projection and feed-forward run on
+    /// the asked-for rows only. Every one of those steps is row-local, so
+    /// each output row is bitwise-equal to that row of the full forward.
+    pub fn forward_rows(&self, x: &Matrix, rows: &[usize]) -> Matrix {
+        crate::profile::record_block_forward();
+        let normed = self.norm1.infer(x);
+        let attended = self.attention.infer(&normed.gather_rows(rows), &normed);
+        let mut x = x.gather_rows(rows);
         x.add_assign(&attended);
         let fed = self.feed_forward.infer(&self.norm2.infer(&x));
         x.add_assign(&fed);
@@ -98,6 +115,23 @@ impl TransformerEncoder {
             h = block.forward_segmented(h);
         }
         self.final_norm.infer(&h)
+    }
+
+    /// The rows `rows` of [`Self::forward_packed`]`(x)`, in the order
+    /// given, bitwise: for a caller that reads a few rows of the output,
+    /// such as a plan's root or its scan nodes. The blocks before the last
+    /// run on every row, because the last block's keys and values need
+    /// them all; the last block ([`EncoderBlock::forward_rows`]) and the
+    /// final norm run on the asked-for rows only.
+    pub fn forward_rows(&self, x: Matrix, rows: &[usize]) -> Matrix {
+        let Some((last, earlier)) = self.blocks.split_last() else {
+            return self.final_norm.infer(&x.gather_rows(rows));
+        };
+        let mut h = x;
+        for block in earlier {
+            h = block.forward_segmented(h);
+        }
+        self.final_norm.infer(&last.forward_rows(&h, rows))
     }
 }
 
@@ -168,30 +202,30 @@ impl DecoderBlock {
     }
 
     /// Incremental forward of one new row per prefix (see
-    /// [`TransformerDecoder::forward_step`]): extends each prefix's
-    /// self-attention cache `past[i]` by its new row, attends the row over
-    /// that cache and over the query's memory block `memory`, and pushes
-    /// the extended cache onto `next[i]`.
-    fn forward_step(
+    /// [`TransformerDecoder::forward_step`]), as block `b` of its stack:
+    /// pushes prefix `i`'s self-attention cache `past(i)` extended by its
+    /// new row onto `next[i]`, attends the row over that cache and over
+    /// the query's memory block `memory`, and returns the new rows.
+    fn forward_step<'k>(
         &self,
         mut x: Matrix,
-        past: &[Option<&HeadKv>],
+        b: usize,
+        past: impl Fn(usize) -> Option<&'k HeadKv>,
         memory: &HeadKv,
         next: &mut [KvCache],
     ) -> Matrix {
         crate::profile::record_block_forward();
-        let q = self.norm1.infer(&x);
-        let extended = self.self_attention.extend_kv(past, &q);
+        let q = self
+            .self_attention
+            .project_step(past, &self.norm1.infer(&x), |i, kv| next[i].blocks.push(kv));
+        let next = &*next;
         let self_attended = self
             .self_attention
-            .forward_cached(&q, |i| &extended[i], true);
-        for (cache, kv) in next.iter_mut().zip(extended) {
-            cache.blocks.push(kv);
-        }
+            .forward_cached(&q, |i| &next[i].blocks[b]);
         x.add_assign(&self_attended);
         let cross = self
             .cross_attention
-            .forward_cached(&self.norm2.infer(&x), |_| memory, false);
+            .infer_cached(&self.norm2.infer(&x), memory);
         x.add_assign(&cross);
         let fed = self.feed_forward.infer(&self.norm3.infer(&x));
         x.add_assign(&fed);
@@ -252,12 +286,14 @@ impl TransformerDecoder {
     }
 
     /// One incremental decode step over several prefixes of one query at
-    /// once. Row `i` of `x` is prefix `i`'s newest input row, `past[i]`
+    /// once. Row `i` of `x` is prefix `i`'s newest input row, `past(i)`
     /// caches the self-attention keys and values of its earlier rows (the
     /// default [`KvCache`] for the empty prefix), and `memory` is the
     /// query's [`Self::memory_kv`]. Returns the `(n, d_model)` decoded new
-    /// rows and, per prefix, `past[i]` extended by the new row: the cache
-    /// that the prefix's one-longer extensions decode against next.
+    /// rows and leaves `next` holding, per prefix, `past(i)` extended by
+    /// the new row: the cache that the prefix's one-longer extensions
+    /// decode against next. `next`'s handles are reused, so a caller that
+    /// keeps it across steps allocates no new ones.
     ///
     /// Row `i` is bitwise-identical to the last row of [`Self::forward`]
     /// over prefix `i`'s whole input against its memory. A causal row never
@@ -265,27 +301,24 @@ impl TransformerDecoder {
     /// are the ones cached when that row was new; the last row's causal
     /// mask row is all `+0.0`; and layer norm, the linears, GELU, softmax
     /// and `scores·V` are row-local, in the same ascending order (see
-    /// [`MultiHeadAttention::forward_cached`]). Every linear runs once
-    /// over all `n` new rows.
-    pub fn forward_step(
+    /// [`MultiHeadAttention::infer`]). Every linear runs once over all `n`
+    /// new rows, and so does each head's cross-attention.
+    pub fn forward_step<'k>(
         &self,
         x: Matrix,
-        past: &[&KvCache],
+        past: impl Fn(usize) -> &'k KvCache,
         memory: &KvCache,
-    ) -> (Matrix, Vec<KvCache>) {
-        debug_assert_eq!(past.len(), x.rows());
-        let mut next: Vec<KvCache> = past
-            .iter()
-            .map(|_| KvCache {
-                blocks: Vec::with_capacity(self.blocks.len()),
-            })
-            .collect();
+        next: &mut Vec<KvCache>,
+    ) -> Matrix {
+        next.resize_with(x.rows(), KvCache::default);
+        for cache in next.iter_mut() {
+            cache.blocks.clear();
+        }
         let mut h = x;
         for (b, block) in self.blocks.iter().enumerate() {
-            let prior: Vec<Option<&HeadKv>> = past.iter().map(|p| p.blocks.get(b)).collect();
-            h = block.forward_step(h, &prior, &memory.blocks[b], &mut next);
+            h = block.forward_step(h, b, |i| past(i).blocks.get(b), &memory.blocks[b], next);
         }
-        (self.final_norm.infer(&h), next)
+        self.final_norm.infer(&h)
     }
 }
 
@@ -434,6 +467,35 @@ mod tests {
     }
 
     #[test]
+    fn row_selective_forward_matches_the_tape_forward_bitwise() {
+        // A plan's estimation reads its root row (the last in post-order)
+        // and the advisor its scan rows (0, 1, 3, 5, ... of a left-deep
+        // plan); each must be that row of the tape forward, bit for bit,
+        // at one and two blocks, in any order asked for.
+        let mut rng = StdRng::seed_from_u64(12);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for depth in [1usize, 2] {
+            let enc = TransformerEncoder::new(8, 2, depth, &mut rng);
+            for rows in [1usize, 2, 5] {
+                let x = Matrix::xavier(rows, 8, &mut rng);
+                let tape = encode(&enc, &x);
+                let last = vec![rows - 1];
+                let scans: Vec<usize> = (0..rows).filter(|&r| r == 0 || r % 2 == 1).collect();
+                let every_reversed: Vec<usize> = (0..rows).rev().collect();
+                for selected in [last, scans, every_reversed, Vec::new()] {
+                    let out = enc.forward_rows(x.clone(), &selected);
+                    assert_eq!(out.shape(), (selected.len(), 8));
+                    assert_eq!(
+                        bits(&out),
+                        bits(&tape.gather_rows(&selected)),
+                        "{depth} blocks, {rows} rows, rows {selected:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn packed_forward_handles_empty_and_single_segments() {
         let mut rng = StdRng::seed_from_u64(9);
         let enc = TransformerEncoder::new(8, 2, 1, &mut rng);
@@ -469,8 +531,8 @@ mod tests {
                     .collect();
                 let rows: Vec<&[f32]> = live.iter().map(|&i| inputs[i].row(t)).collect();
                 let x = Matrix::from_vec(live.len(), 16, rows.concat());
-                let prior: Vec<&KvCache> = live.iter().map(|&i| &past[i]).collect();
-                let (out, next) = dec.forward_step(x, &prior, &memory_kv);
+                let mut next = Vec::new();
+                let out = dec.forward_step(x, |r| &past[live[r]], &memory_kv, &mut next);
                 for (r, (&i, kv)) in live.iter().zip(next).enumerate() {
                     let reference = decode(&dec, &inputs[i].slice_rows(0, t + 1), &memory);
                     assert_eq!(out.row(r), reference.row(t), "prefix {i} step {t}");
